@@ -377,7 +377,7 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
         return std::max(matrix_->RateIfPublished(index, Processor::kCpu),
                         matrix_->RateIfPublished(index, Processor::kGpu));
       });
-  qs->cpu_op = MakeCpuOperator(&qs->def, options_.cpu_vectorized);
+  qs->cpu_op = MakeCpuOperator(&qs->def);
   if (device_ != nullptr) {
     qs->gpu_op = MakeGpuOperator(&qs->def, device_.get());
   }

@@ -70,16 +70,6 @@ struct EngineOptions {
   /// depth (§5.2). Only read when use_gpu is true; see gpu/sim_device.h.
   SimDeviceOptions device;
 
-  /// Use the vectorized (batch-at-a-time) CPU operator path: expressions
-  /// are compiled once per query and evaluated over ~1024-tuple runs with
-  /// selection vectors instead of interpreting the Expression tree per
-  /// tuple. Default: true. Queries whose expressions cannot be lowered
-  /// (CompiledExpr::lowerable()) fall back to the scalar path per query
-  /// automatically; setting this false forces the scalar path everywhere
-  /// (the A/B knob behind bench/operator_kernels). Both paths produce
-  /// bit-identical results (tests/cpu/vectorized_diff_fuzz_test).
-  bool cpu_vectorized = true;
-
   /// Query task size φ. Unit: bytes; rounded down per query to a non-zero
   /// multiple of the input tuple size. Default: 1 MiB. This is the central
   /// throughput/latency knob of §6.4 (Fig. 12). With an adaptive

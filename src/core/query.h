@@ -7,6 +7,7 @@
 #include "core/window_udf.h"
 #include "relational/aggregate.h"
 #include "relational/expression.h"
+#include "relational/expression_compiler.h"
 #include "relational/schema.h"
 #include "runtime/status.h"
 #include "runtime/strcat.h"
@@ -127,8 +128,9 @@ struct QueryDef {
   size_t group_key_size() const { return group_by.size() * 8; }
 
   /// Checks the fixed operator limits (kMaxAggregatesPerQuery,
-  /// kMaxGroupKeyBytes). QueryBuilder::TryBuild surfaces the Status;
-  /// Engine::AddQuery re-checks for hand-built QueryDefs.
+  /// kMaxGroupKeyBytes, CompiledExpr::kMaxStack). QueryBuilder::TryBuild
+  /// surfaces the Status; Engine::AddQuery re-checks for hand-built
+  /// QueryDefs.
   Status ValidateLimits() const {
     if (aggregates.size() > kMaxAggregatesPerQuery) {
       return Status::InvalidArgument(StrCat(
@@ -163,6 +165,35 @@ struct QueryDef {
         return Status::InvalidArgument(StrCat(
             "query '", name, "' combines session and unbounded on input ", i));
       }
+    }
+    return ValidateExpressionDepth();
+  }
+
+ private:
+  /// Every expression an operator compiles must fit the stack machine
+  /// (CompiledExpr::kMaxStack). Compile aborts beyond it, and admission
+  /// builds the operators, so a deep expression must fail here instead.
+  Status ValidateExpressionDepth() const {
+    const Schema* right = num_inputs == 2 ? &input_schema[1] : nullptr;
+    auto check = [&](const ExprPtr& e, const char* role) -> Status {
+      if (e == nullptr) return Status::OK();
+      const size_t depth = CompiledExpr::StackDepth(*e, input_schema[0], right);
+      if (depth <= CompiledExpr::kMaxStack) return Status::OK();
+      return Status::InvalidArgument(StrCat(
+          "query '", name, "': ", role, " expression needs ", depth,
+          " stack slots; the compiled-expression limit is "
+          "CompiledExpr::kMaxStack=",
+          CompiledExpr::kMaxStack));
+    };
+    SABER_RETURN_NOT_OK(check(where, "WHERE"));
+    for (const ExprPtr& e : select) SABER_RETURN_NOT_OK(check(e, "SELECT"));
+    for (const AggregateSpec& a : aggregates) {
+      SABER_RETURN_NOT_OK(check(a.input, "aggregate input"));
+    }
+    for (const ExprPtr& e : group_by) SABER_RETURN_NOT_OK(check(e, "GROUP BY"));
+    SABER_RETURN_NOT_OK(check(join_predicate, "join predicate"));
+    for (const ExprPtr& e : join_select) {
+      SABER_RETURN_NOT_OK(check(e, "join projection"));
     }
     return Status::OK();
   }

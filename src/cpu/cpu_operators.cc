@@ -22,9 +22,8 @@ inline int64_t LoadTs(const uint8_t* tuple) {
 }
 
 // ---------------------------------------------------------------------------
-// Join window/partner arithmetic shared by the scalar and vectorized
-// θ-join operators (both must agree exactly — the vectorized probe bounds
-// are derived from these).
+// Join window/partner arithmetic (the θ-join probe bounds are derived from
+// these).
 // ---------------------------------------------------------------------------
 
 /// Window-index range containing axis coordinate `x` under definition `w`
@@ -55,502 +54,14 @@ inline int64_t OppAxis(const StreamBatch& opp, const WindowDefinition& wo,
 }
 
 // ===========================================================================
-// Scalar (tree-walking) operators — the fallback path. One virtual
-// Expression evaluation per tuple, like SABER's generic Java operators
-// (§5.3). These stay byte-for-byte equivalent to the vectorized operators
-// below; the differential fuzz suite (tests/cpu/vectorized_diff_fuzz_test)
-// enforces it.
-// ===========================================================================
-
-// ---------------------------------------------------------------------------
-// Stateless operators: projection and selection (§5.3 "a single scan over
-// the stream batch"). With IStream semantics every input tuple contributes
-// at most one output tuple, independent of the window definition — which is
-// why Fig. 11a shows the slide having no effect on SELECT throughput.
-// ---------------------------------------------------------------------------
-
-bool DetectIdentity(const QueryDef& q) {
-  if (q.select.size() != q.input_schema[0].num_fields()) return false;
-  for (size_t i = 0; i < q.select.size(); ++i) {
-    const auto* col = q.select[i]->kind() == Expression::Kind::kColumn
-                          ? static_cast<const ColumnExpr*>(q.select[i].get())
-                          : nullptr;
-    if (col == nullptr || col->field() != i) return false;
-  }
-  return q.output_schema.tuple_size() == q.input_schema[0].tuple_size();
-}
-
-class CpuStatelessOperator final : public Operator {
- public:
-  explicit CpuStatelessOperator(const QueryDef* q) : Operator(q) {
-    identity_ = DetectIdentity(*q);
-  }
-
-  void ProcessBatch(const TaskContext& ctx, TaskResult* out) const override {
-    const StreamBatch& in = ctx.input[0];
-    const Schema& schema = query_->input_schema[0];
-    const Schema& out_schema = query_->output_schema;
-    const size_t n = in.num_tuples();
-    const size_t in_size = schema.tuple_size();
-    const size_t out_size = out_schema.tuple_size();
-    const Expression* where = query_->where.get();
-
-    out->axis_p = in.AxisP(query_->window[0]);
-    out->axis_q = in.AxisQ(query_->window[0]);
-    out->complete.Reserve(n * (identity_ ? in_size : out_size));
-
-    for (size_t i = 0; i < n; ++i) {
-      const uint8_t* bytes = in.tuple(i);
-      TupleRef t(bytes, &schema);
-      if (where != nullptr && !where->EvalBool(t, nullptr)) continue;
-      if (identity_) {
-        // Direct byte forwarding (§5.1).
-        out->complete.Append(bytes, in_size);
-        continue;
-      }
-      uint8_t* row = out->complete.AppendUninitialized(out_size);
-      TupleWriter wr(row, &out_schema);
-      for (size_t f = 0; f < query_->select.size(); ++f) {
-        const Expression& e = *query_->select[f];
-        switch (out_schema.field(f).type) {
-          case DataType::kInt32:
-            wr.SetInt32(f, static_cast<int32_t>(e.EvalInt64(t, nullptr)));
-            break;
-          case DataType::kInt64:
-            wr.SetInt64(f, e.EvalInt64(t, nullptr));
-            break;
-          default:
-            wr.SetNumeric(f, e.EvalDouble(t, nullptr));
-            break;
-        }
-      }
-    }
-  }
-
-  void Assemble(const TaskResult& result, AssemblyState* state,
-                ByteBuffer* output) const override {
-    static_cast<ConcatAssembly*>(state)->Ingest(result, output);
-  }
-
-  std::unique_ptr<AssemblyState> MakeAssemblyState() const override {
-    return std::make_unique<ConcatAssembly>();
-  }
-
- private:
-  bool identity_;
-};
-
-// ---------------------------------------------------------------------------
-// Aggregation: the batch operator function partitions the stream batch into
-// panes and computes one partial aggregate per pane (§5.3). Finalization of
-// window results happens in the assembly operator function
-// (AggregationAssembly), which merges pane partials incrementally.
-// ---------------------------------------------------------------------------
-
-class CpuAggregationOperator final : public Operator {
- public:
-  explicit CpuAggregationOperator(const QueryDef* q)
-      : Operator(q), fmt_(PaneFormat::For(*q)) {}
-
-  void ProcessBatch(const TaskContext& ctx, TaskResult* out) const override {
-    if (query_->window[0].session()) {
-      if (fmt_.grouped()) {
-        ProcessGroupedSession(ctx, out);
-      } else {
-        ProcessUngroupedSession(ctx, out);
-      }
-      return;
-    }
-    if (fmt_.grouped()) {
-      ProcessGrouped(ctx, out);
-    } else {
-      ProcessUngrouped(ctx, out);
-    }
-  }
-
-  void Assemble(const TaskResult& result, AssemblyState* state,
-                ByteBuffer* output) const override {
-    static_cast<AggregationAssembly*>(state)->Ingest(result, output);
-  }
-
-  std::unique_ptr<AssemblyState> MakeAssemblyState() const override {
-    return std::make_unique<AggregationAssembly>(*query_);
-  }
-
- private:
-  // Session windows: the batch is cut at inactivity gaps into *segments*
-  // (maximal runs with consecutive timestamps at most gap apart) instead of
-  // grid panes; each segment ships [first_ts][last_ts] plus its partial so
-  // the assembly can merge adjacent segments whose boundary gap did not
-  // elapse (fragment_assembly.h). PaneEntry::pane_index is a task-local
-  // ordinal — segments have no grid to index into.
-
-  void ProcessUngroupedSession(const TaskContext& ctx, TaskResult* out) const {
-    const StreamBatch& in = ctx.input[0];
-    const Schema& schema = query_->input_schema[0];
-    const WindowDefinition& w = query_->window[0];
-    const Expression* where = query_->where.get();
-    const size_t n = in.num_tuples();
-    const size_t na = fmt_.num_aggs;
-    const int64_t gap = w.gap();
-
-    out->axis_p = in.AxisP(w);
-    out->axis_q = in.AxisQ(w);
-
-    AggState cur[kMaxAggregatesPerQuery];
-    SABER_CHECK(na <= kMaxAggregatesPerQuery);
-    bool open = false;
-    int64_t first_ts = 0, last_ts = 0, seg = 0;
-
-    auto flush = [&]() {
-      if (!open) return;
-      const uint32_t off = static_cast<uint32_t>(out->partials.size());
-      out->partials.AppendValue<int64_t>(first_ts);
-      out->partials.AppendValue<int64_t>(last_ts);
-      out->partials.Append(cur, na * sizeof(AggState));
-      out->panes.push_back(PaneEntry{
-          seg++, off, static_cast<uint32_t>(fmt_.session_ungrouped_bytes())});
-      open = false;
-    };
-
-    for (size_t i = 0; i < n; ++i) {
-      TupleRef t(in.tuple(i), &schema);
-      const int64_t ts = t.timestamp();
-      if (open && !SessionExtends(last_ts, ts, gap)) flush();
-      if (!open) {
-        open = true;
-        first_ts = ts;
-        for (size_t a = 0; a < na; ++a) AggInit(&cur[a]);
-      }
-      last_ts = ts;  // raw extent: filtered tuples still hold the session open
-      if (where != nullptr && !where->EvalBool(t, nullptr)) continue;
-      for (size_t a = 0; a < na; ++a) {
-        const auto& spec = query_->aggregates[a];
-        const double v =
-            spec.input != nullptr ? spec.input->EvalDouble(t, nullptr) : 0.0;
-        AggAdd(&cur[a], v);
-      }
-    }
-    flush();
-  }
-
-  void ProcessGroupedSession(const TaskContext& ctx, TaskResult* out) const {
-    const StreamBatch& in = ctx.input[0];
-    const Schema& schema = query_->input_schema[0];
-    const WindowDefinition& w = query_->window[0];
-    const Expression* where = query_->where.get();
-    const size_t n = in.num_tuples();
-    const size_t na = fmt_.num_aggs;
-    const size_t nk = query_->group_by.size();
-    const int64_t gap = w.gap();
-
-    out->axis_p = in.AxisP(w);
-    out->axis_q = in.AxisQ(w);
-
-    GroupHashTable table(fmt_.key_size, na, kGroupTableTaskCapacity);
-    bool open = false;
-    int64_t first_ts = 0, last_ts = 0, seg = 0;
-    uint8_t key[kMaxGroupKeyBytes];
-    SABER_CHECK(fmt_.key_size <= sizeof(key));
-
-    auto flush = [&]() {
-      if (!open) return;
-      const uint32_t off = static_cast<uint32_t>(out->partials.size());
-      // Header even when the table is empty: a fully filtered segment still
-      // defines session extent (the assembly needs its first/last ts).
-      out->partials.AppendValue<int64_t>(first_ts);
-      out->partials.AppendValue<int64_t>(last_ts);
-      if (table.size() > 0) table.SerializeTo(&out->partials);
-      out->panes.push_back(PaneEntry{
-          seg++, off, static_cast<uint32_t>(out->partials.size() - off)});
-      table.Clear();
-      open = false;
-    };
-
-    for (size_t i = 0; i < n; ++i) {
-      TupleRef t(in.tuple(i), &schema);
-      const int64_t ts = t.timestamp();
-      if (open && !SessionExtends(last_ts, ts, gap)) flush();
-      if (!open) {
-        open = true;
-        first_ts = ts;
-      }
-      last_ts = ts;
-      if (where != nullptr && !where->EvalBool(t, nullptr)) continue;
-      for (size_t k = 0; k < nk; ++k) {
-        const int64_t kv = query_->group_by[k]->EvalInt64(t, nullptr);
-        std::memcpy(key + k * 8, &kv, sizeof(kv));
-      }
-      if (table.NeedsGrow()) table.Grow();
-      AggState* aggs = table.Upsert(key, static_cast<int32_t>(i), ts);
-      if (aggs == nullptr) {
-        table.Grow();
-        aggs = table.Upsert(key, static_cast<int32_t>(i), ts);
-        SABER_CHECK(aggs != nullptr);
-      }
-      for (size_t a = 0; a < na; ++a) {
-        const auto& spec = query_->aggregates[a];
-        const double v =
-            spec.input != nullptr ? spec.input->EvalDouble(t, nullptr) : 0.0;
-        AggAdd(&aggs[a], v);
-      }
-    }
-    flush();
-  }
-
-  void ProcessUngrouped(const TaskContext& ctx, TaskResult* out) const {
-    const StreamBatch& in = ctx.input[0];
-    const Schema& schema = query_->input_schema[0];
-    const WindowDefinition& w = query_->window[0];
-    const Expression* where = query_->where.get();
-    const size_t n = in.num_tuples();
-    const size_t na = fmt_.num_aggs;
-    const int64_t g = w.pane_size();
-
-    out->axis_p = in.AxisP(w);
-    out->axis_q = in.AxisQ(w);
-
-    AggState cur[kMaxAggregatesPerQuery];
-    SABER_CHECK(na <= kMaxAggregatesPerQuery);
-    int64_t cur_pane = -1;
-    int64_t cur_ts = 0;
-
-    auto flush = [&]() {
-      if (cur_pane < 0) return;
-      const uint32_t off = static_cast<uint32_t>(out->partials.size());
-      out->partials.AppendValue<int64_t>(cur_ts);
-      out->partials.Append(cur, na * sizeof(AggState));
-      out->panes.push_back(
-          PaneEntry{cur_pane, off, static_cast<uint32_t>(fmt_.ungrouped_bytes())});
-    };
-
-    for (size_t i = 0; i < n; ++i) {
-      TupleRef t(in.tuple(i), &schema);
-      const int64_t ts = t.timestamp();
-      const int64_t pane = in.AxisOf(w, i, ts) / g;
-      if (pane != cur_pane) {
-        flush();
-        cur_pane = pane;
-        cur_ts = ts;
-        for (size_t a = 0; a < na; ++a) AggInit(&cur[a]);
-      }
-      cur_ts = ts;
-      if (where != nullptr && !where->EvalBool(t, nullptr)) continue;
-      for (size_t a = 0; a < na; ++a) {
-        const auto& spec = query_->aggregates[a];
-        const double v =
-            spec.input != nullptr ? spec.input->EvalDouble(t, nullptr) : 0.0;
-        AggAdd(&cur[a], v);
-      }
-    }
-    flush();
-  }
-
-  void ProcessGrouped(const TaskContext& ctx, TaskResult* out) const {
-    const StreamBatch& in = ctx.input[0];
-    const Schema& schema = query_->input_schema[0];
-    const WindowDefinition& w = query_->window[0];
-    const Expression* where = query_->where.get();
-    const size_t n = in.num_tuples();
-    const size_t na = fmt_.num_aggs;
-    const size_t nk = query_->group_by.size();
-    const int64_t g = w.pane_size();
-
-    out->axis_p = in.AxisP(w);
-    out->axis_q = in.AxisQ(w);
-
-    GroupHashTable table(fmt_.key_size, na, kGroupTableTaskCapacity);
-    int64_t cur_pane = -1;
-    uint8_t key[kMaxGroupKeyBytes];
-    SABER_CHECK(fmt_.key_size <= sizeof(key));
-
-    auto flush = [&]() {
-      if (cur_pane < 0 || table.size() == 0) {
-        if (cur_pane >= 0) table.Clear();
-        return;
-      }
-      const uint32_t off = static_cast<uint32_t>(out->partials.size());
-      table.SerializeTo(&out->partials);
-      out->panes.push_back(PaneEntry{
-          cur_pane, off, static_cast<uint32_t>(out->partials.size() - off)});
-      table.Clear();
-    };
-
-    for (size_t i = 0; i < n; ++i) {
-      TupleRef t(in.tuple(i), &schema);
-      const int64_t ts = t.timestamp();
-      const int64_t pane = in.AxisOf(w, i, ts) / g;
-      if (pane != cur_pane) {
-        flush();
-        cur_pane = pane;
-      }
-      if (where != nullptr && !where->EvalBool(t, nullptr)) continue;
-      for (size_t k = 0; k < nk; ++k) {
-        const int64_t kv = query_->group_by[k]->EvalInt64(t, nullptr);
-        std::memcpy(key + k * 8, &kv, sizeof(kv));
-      }
-      if (table.NeedsGrow()) table.Grow();
-      AggState* aggs = table.Upsert(key, static_cast<int32_t>(i), ts);
-      if (aggs == nullptr) {
-        table.Grow();
-        aggs = table.Upsert(key, static_cast<int32_t>(i), ts);
-        SABER_CHECK(aggs != nullptr);
-      }
-      for (size_t a = 0; a < na; ++a) {
-        const auto& spec = query_->aggregates[a];
-        const double v =
-            spec.input != nullptr ? spec.input->EvalDouble(t, nullptr) : 0.0;
-        AggAdd(&aggs[a], v);
-      }
-    }
-    flush();
-  }
-
-  PaneFormat fmt_;
-};
-
-// ---------------------------------------------------------------------------
-// Streaming θ-join (§5.3, Kang et al. [35]). The dispatcher aligns the two
-// stream batches on a common timestamp cut, so a symmetric merge over the
-// two batches — joining each arriving tuple against the opposite stream's
-// current window contents (history + already-processed batch prefix) —
-// produces every result pair exactly once, in arrival order. Task execution
-// is sequential within the task; parallelism comes from concurrent tasks.
-// ---------------------------------------------------------------------------
-
-class CpuJoinOperator final : public Operator {
- public:
-  explicit CpuJoinOperator(const QueryDef* q) : Operator(q) {}
-
-  void ProcessBatch(const TaskContext& ctx, TaskResult* out) const override {
-    const StreamBatch& L = ctx.input[0];
-    const StreamBatch& R = ctx.input[1];
-    const Schema& ls = query_->input_schema[0];
-    const Schema& rs = query_->input_schema[1];
-    const WindowDefinition& wl = query_->window[0];
-    out->axis_p = L.AxisP(wl);
-    out->axis_q = L.AxisQ(wl);
-
-    const size_t nl = L.num_tuples();
-    const size_t nr = R.num_tuples();
-    const size_t hl = L.history_tuples();
-    const size_t hr = R.history_tuples();
-
-    // Partner scan lower bounds (amortized O(1) advancement).
-    size_t r_scan_lo = 0;  // index into [histR..batchR-prefix] sequence
-    size_t l_scan_lo = 0;
-
-    size_t il = 0, ir = 0;
-    while (il < nl || ir < nr) {
-      bool take_left;
-      if (il >= nl) {
-        take_left = false;
-      } else if (ir >= nr) {
-        take_left = true;
-      } else {
-        TupleRef a(L.tuple(il), &ls);
-        TupleRef b(R.tuple(ir), &rs);
-        take_left = a.timestamp() <= b.timestamp();  // left wins ties
-      }
-      if (take_left) {
-        JoinNewElement</*kNewIsLeft=*/true>(L, R, il, ir, hr, &r_scan_lo, out);
-        ++il;
-      } else {
-        JoinNewElement</*kNewIsLeft=*/false>(R, L, ir, il, hl, &l_scan_lo, out);
-        ++ir;
-      }
-    }
-  }
-
-  void Assemble(const TaskResult& result, AssemblyState* state,
-                ByteBuffer* output) const override {
-    static_cast<ConcatAssembly*>(state)->Ingest(result, output);
-  }
-
-  std::unique_ptr<AssemblyState> MakeAssemblyState() const override {
-    return std::make_unique<ConcatAssembly>();
-  }
-
- private:
-  /// Joins the `new_idx`-th tuple of `nw` (the newly arriving side) against
-  /// the opposite side's window contents: its history plus the batch prefix
-  /// [0, opp_prefix). `opp_hist` is the history tuple count of the opposite
-  /// side; `scan_lo` persists the advancing lower bound across calls.
-  template <bool kNewIsLeft>
-  void JoinNewElement(const StreamBatch& nw, const StreamBatch& opp,
-                      size_t new_idx, size_t opp_prefix, size_t opp_hist,
-                      size_t* scan_lo, TaskResult* out) const {
-    const Schema& ns = query_->input_schema[kNewIsLeft ? 0 : 1];
-    const Schema& os = query_->input_schema[kNewIsLeft ? 1 : 0];
-    const WindowDefinition& wn = query_->window[kNewIsLeft ? 0 : 1];
-    const WindowDefinition& wo = query_->window[kNewIsLeft ? 1 : 0];
-
-    TupleRef t(nw.tuple(new_idx), &ns);
-    const int64_t ts = t.timestamp();
-    const int64_t axis_n =
-        wn.time_based() ? ts
-                        : nw.first_index + static_cast<int64_t>(new_idx);
-    const WindowIndexRange jn = WindowsOf(wn, axis_n);
-    if (jn.empty()) return;
-
-    // Opposite tuples with window index-range ending before jn.lo can never
-    // match this or any later new element: skip them permanently.
-    const size_t total = opp_hist + opp_prefix;
-    while (*scan_lo < total) {
-      const int64_t axis_o = OppAxis(opp, wo, *scan_lo, opp_hist);
-      if (FloorDiv(axis_o, wo.slide) >= jn.lo) break;
-      ++(*scan_lo);
-    }
-
-    for (size_t k = *scan_lo; k < total; ++k) {
-      const uint8_t* obytes = k < opp_hist
-                                  ? opp.history_tuple(k)
-                                  : opp.tuple(k - opp_hist);
-      TupleRef o(obytes, &os);
-      const int64_t axis_o = wo.time_based()
-                                 ? o.timestamp()
-                                 : OppIndex(opp, k, opp_hist);
-      const WindowIndexRange jo = WindowsOf(wo, axis_o);
-      if (jo.lo > jn.hi) break;  // partners are axis-ordered: no more matches
-      if (jo.hi < jn.lo) continue;
-      const TupleRef& l = kNewIsLeft ? t : o;
-      const TupleRef& r = kNewIsLeft ? o : t;
-      if (!query_->join_predicate->EvalBool(l, &r)) continue;
-      EmitPair(l, r, std::max(ts, o.timestamp()), out);
-    }
-  }
-
-  void EmitPair(const TupleRef& l, const TupleRef& r, int64_t ts,
-                TaskResult* out) const {
-    const Schema& os = query_->output_schema;
-    uint8_t* row = out->complete.AppendUninitialized(os.tuple_size());
-    TupleWriter wr(row, &os);
-    wr.SetInt64(0, ts);  // field 0: max(ts_l, ts_r), stamped by the operator
-    for (size_t f = 1; f < query_->join_select.size(); ++f) {
-      const Expression& e = *query_->join_select[f];
-      if (IsIntegral(os.field(f).type)) {
-        const int64_t v = e.EvalInt64(l, &r);
-        if (os.field(f).type == DataType::kInt32) {
-          wr.SetInt32(f, static_cast<int32_t>(v));
-        } else {
-          wr.SetInt64(f, v);
-        }
-      } else {
-        wr.SetNumeric(f, e.EvalDouble(l, &r));
-      }
-    }
-  }
-};
-
-// ===========================================================================
-// Vectorized (batch-at-a-time) operators — the default path. Expressions
-// are lowered once at operator construction; ProcessBatch evaluates them
-// over pane runs with CompiledExpr's batch interpreter: predicates produce
-// selection vectors (ascending uint32 tuple indices), projections /
-// aggregate inputs / group keys produce typed columns that are fused into a
-// single surviving-tuple pass. Value semantics are bit-identical to the
-// scalar operators above by construction (the compiler mirrors the
-// Expression tree's typed lanes).
+// Batch-at-a-time operators. Expressions are lowered once at operator
+// construction; ProcessBatch evaluates them over pane runs with
+// CompiledExpr's batch interpreter: predicates produce selection vectors
+// (ascending uint32 tuple indices), projections / aggregate inputs / group
+// keys produce typed columns that are fused into a single surviving-tuple
+// pass. Values are bit-identical to the Expression tree that the reference
+// model (src/reference/) interprets, by construction: the compiler mirrors
+// the tree's typed lanes.
 // ===========================================================================
 
 /// Per-worker scratch for batch evaluation: selection vectors, typed value
@@ -621,14 +132,31 @@ inline void ScatterDouble(uint8_t* rows, size_t row_size, const FieldPlan& p,
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized stateless operator: predicate -> selection vector, then either
-// coalesced row forwarding (identity projection) or a fused projection pass
-// that gathers surviving tuples per output field.
+// Stateless operators: projection and selection (§5.3 "a single scan over
+// the stream batch"). With IStream semantics every input tuple contributes
+// at most one output tuple, independent of the window definition — which is
+// why Fig. 11a shows the slide having no effect on SELECT throughput.
+//
+// The predicate produces a selection vector; then either coalesced row
+// forwarding (identity projection) or a fused projection pass that gathers
+// surviving tuples per output field.
 // ---------------------------------------------------------------------------
 
-class CpuVectorStatelessOperator final : public Operator {
+/// True if the projection is `select *` (byte forwarding, §5.1).
+bool DetectIdentity(const QueryDef& q) {
+  if (q.select.size() != q.input_schema[0].num_fields()) return false;
+  for (size_t i = 0; i < q.select.size(); ++i) {
+    const auto* col = q.select[i]->kind() == Expression::Kind::kColumn
+                          ? static_cast<const ColumnExpr*>(q.select[i].get())
+                          : nullptr;
+    if (col == nullptr || col->field() != i) return false;
+  }
+  return q.output_schema.tuple_size() == q.input_schema[0].tuple_size();
+}
+
+class CpuStatelessOperator final : public Operator {
  public:
-  explicit CpuVectorStatelessOperator(const QueryDef* q) : Operator(q) {
+  explicit CpuStatelessOperator(const QueryDef* q) : Operator(q) {
     identity_ = DetectIdentity(*q);
     if (q->where != nullptr) {
       where_ = CompiledExpr::Compile(*q->where, q->input_schema[0]);
@@ -637,11 +165,7 @@ class CpuVectorStatelessOperator final : public Operator {
       plans_ = BuildFieldPlans(q->select, q->output_schema, q->input_schema[0],
                                nullptr, /*field0_is_max_ts=*/false);
     }
-    vectorizable_ = (q->where == nullptr || where_.lowerable()) &&
-                    (identity_ || PlansLowerable(plans_));
   }
-
-  bool vectorizable() const { return vectorizable_; }
 
   void ProcessBatch(const TaskContext& ctx, TaskResult* out) const override {
     const StreamBatch& in = ctx.input[0];
@@ -723,23 +247,27 @@ class CpuVectorStatelessOperator final : public Operator {
 
  private:
   bool identity_;
-  bool vectorizable_;
   CompiledExpr where_;
   std::vector<FieldPlan> plans_;
 };
 
 // ---------------------------------------------------------------------------
-// Vectorized aggregation. The batch is cut into pane runs (for count-based
-// windows the boundaries are pure arithmetic; for time-based windows a
-// timestamp-column scan); each run evaluates the predicate into a selection
-// vector, the aggregate inputs / group keys into typed columns, and fuses
-// the accumulate pass over the survivors. Grouped tasks draw their hash
-// table from a per-operator pool instead of allocating per task.
+// Aggregation: the batch operator function partitions the stream batch into
+// panes and computes one partial aggregate per pane (§5.3). Finalization of
+// window results happens in the assembly operator function
+// (AggregationAssembly), which merges pane partials incrementally.
+//
+// The batch is cut into pane runs (for count-based windows the boundaries
+// are pure arithmetic; for time-based windows a timestamp-column scan);
+// each run evaluates the predicate into a selection vector, the aggregate
+// inputs / group keys into typed columns, and fuses the accumulate pass
+// over the survivors. Grouped tasks draw their hash table from a
+// per-operator pool instead of allocating per task.
 // ---------------------------------------------------------------------------
 
-class CpuVectorAggregationOperator final : public Operator {
+class CpuAggregationOperator final : public Operator {
  public:
-  explicit CpuVectorAggregationOperator(const QueryDef* q)
+  explicit CpuAggregationOperator(const QueryDef* q)
       : Operator(q),
         fmt_(PaneFormat::For(*q)),
         table_pool_(
@@ -761,16 +289,7 @@ class CpuVectorAggregationOperator final : public Operator {
     for (const auto& k : q->group_by) {
       keys_.push_back(CompiledExpr::Compile(*k, q->input_schema[0]));
     }
-    vectorizable_ = q->where == nullptr || where_.lowerable();
-    for (const auto& c : inputs_) {
-      if (!c.empty() && !c.lowerable()) vectorizable_ = false;
-    }
-    for (const auto& c : keys_) {
-      if (!c.lowerable()) vectorizable_ = false;
-    }
   }
-
-  bool vectorizable() const { return vectorizable_; }
 
   void ProcessBatch(const TaskContext& ctx, TaskResult* out) const override {
     if (query_->window[0].session()) {
@@ -798,11 +317,21 @@ class CpuVectorAggregationOperator final : public Operator {
   }
 
  private:
+  // Session windows: the batch is cut at inactivity gaps into *segments*
+  // (maximal runs with consecutive timestamps at most gap apart) instead of
+  // grid panes; each segment ships [first_ts][last_ts] plus its partial so
+  // the assembly can merge adjacent segments whose boundary gap did not
+  // elapse (fragment_assembly.h). PaneEntry::pane_index is a task-local
+  // ordinal — segments have no grid to index into. Tuples the predicate
+  // filters out still extend the session: the extent is over raw
+  // timestamps.
+
   /// Invokes run_fn(run_base, run_count, run_ts, batch_index) for each
   /// maximal gap-free run within one contiguous segment of the batch. The
   /// callers' merge-or-flush accumulator rejoins runs split by the ring
-  /// wrap, so segment boundaries match the scalar operator's exactly (the
-  /// differential fuzz suite compares TaskResults byte-for-byte).
+  /// wrap, so segment boundaries do not depend on where the batch wraps
+  /// (the differential fuzz suite compares wrapped and contiguous
+  /// TaskResults byte-for-byte).
   template <typename Fn>
   void ForEachSessionRun(const StreamBatch& in, int64_t gap, size_t tuple_size,
                          Fn&& run_fn) const {
@@ -900,7 +429,8 @@ class CpuVectorAggregationOperator final : public Operator {
     auto flush = [&]() {
       if (!open) return;
       const uint32_t off = static_cast<uint32_t>(out->partials.size());
-      // Header even when the table is empty (see the scalar operator).
+      // Header even when the table is empty: a fully filtered segment still
+      // defines session extent (the assembly needs its first/last ts).
       out->partials.AppendValue<int64_t>(first_ts);
       out->partials.AppendValue<int64_t>(last_ts);
       if (table->size() > 0) table->SerializeTo(&out->partials);
@@ -1162,7 +692,6 @@ class CpuVectorAggregationOperator final : public Operator {
   }
 
   PaneFormat fmt_;
-  bool vectorizable_;
   CompiledExpr where_;
   std::vector<CompiledExpr> inputs_;  // empty program = count(*)
   std::vector<CompiledExpr> keys_;
@@ -1170,27 +699,31 @@ class CpuVectorAggregationOperator final : public Operator {
 };
 
 // ---------------------------------------------------------------------------
-// Vectorized θ-join. The timestamp-merge outer loop is unchanged (it is
-// cheap bookkeeping); the probe inner loop is batched: the partner range
-// [scan_lo, k_end) is delimited with pure axis arithmetic (no per-candidate
-// FloorDiv — the window-overlap checks reduce to axis bounds because
-// partners are axis-ordered), the predicate runs batch-at-a-time over the
-// candidate pointers with the new element broadcast, and survivors are
-// emitted through the same field plans as the stateless operator.
+// Streaming θ-join (§5.3, Kang et al. [35]). The dispatcher aligns the two
+// stream batches on a common timestamp cut, so a symmetric merge over the
+// two batches — joining each arriving tuple against the opposite stream's
+// current window contents (history + already-processed batch prefix) —
+// produces every result pair exactly once, in arrival order. Task execution
+// is sequential within the task; parallelism comes from concurrent tasks.
+//
+// The timestamp-merge outer loop is cheap bookkeeping; the probe inner loop
+// is batched: the partner range [scan_lo, k_end) is delimited with pure axis
+// arithmetic (no per-candidate FloorDiv — the window-overlap checks reduce
+// to axis bounds because partners are axis-ordered), the predicate runs
+// batch-at-a-time over the candidate pointers with the new element
+// broadcast, and survivors are emitted through the same field plans as the
+// stateless operator.
 // ---------------------------------------------------------------------------
 
-class CpuVectorJoinOperator final : public Operator {
+class CpuJoinOperator final : public Operator {
  public:
-  explicit CpuVectorJoinOperator(const QueryDef* q) : Operator(q) {
+  explicit CpuJoinOperator(const QueryDef* q) : Operator(q) {
     pred_ = CompiledExpr::Compile(*q->join_predicate, q->input_schema[0],
                                   &q->input_schema[1]);
     plans_ = BuildFieldPlans(q->join_select, q->output_schema,
                              q->input_schema[0], &q->input_schema[1],
                              /*field0_is_max_ts=*/true);
-    vectorizable_ = pred_.lowerable() && PlansLowerable(plans_);
   }
-
-  bool vectorizable() const { return vectorizable_; }
 
   void ProcessBatch(const TaskContext& ctx, TaskResult* out) const override {
     const StreamBatch& L = ctx.input[0];
@@ -1236,6 +769,10 @@ class CpuVectorJoinOperator final : public Operator {
   }
 
  private:
+  /// Joins the `new_idx`-th tuple of `nw` (the newly arriving side) against
+  /// the opposite side's window contents: its history plus the batch prefix
+  /// [0, opp_prefix). `opp_hist` is the history tuple count of the opposite
+  /// side; `scan_lo` persists the advancing lower bound across calls.
   template <bool kNewIsLeft>
   void JoinNewElement(const StreamBatch& nw, const StreamBatch& opp,
                       size_t new_idx, size_t opp_prefix, size_t opp_hist,
@@ -1250,9 +787,12 @@ class CpuVectorJoinOperator final : public Operator {
     const WindowIndexRange jn = WindowsOf(wn, axis_n);
     if (jn.empty()) return;
 
-    // Scalar-path equivalences (FloorDiv(x, s) >= t <=> x >= t*s for s > 0):
-    // - permanent skip:  FloorDiv(axis_o, slide) <  jn.lo  <=>  axis_o < lo_bound
-    // - probe stop:      jo.lo > jn.hi                     <=>  axis_o >= hi_bound
+    // Window overlap as axis bounds (FloorDiv(x, s) >= t <=> x >= t*s, s > 0):
+    // - permanent skip: an opposite tuple whose windows all end before jn.lo
+    //   (FloorDiv(axis_o, slide) < jn.lo <=> axis_o < lo_bound) can never
+    //   match this or any later new element;
+    // - probe stop: partners are axis-ordered, so the first one whose windows
+    //   start after jn.hi (jo.lo > jn.hi <=> axis_o >= hi_bound) ends it.
     const size_t total = opp_hist + opp_prefix;
     const int64_t lo_bound = jn.lo * wo.slide;
     const int64_t hi_bound = jn.hi * wo.slide + wo.size;
@@ -1336,45 +876,17 @@ class CpuVectorJoinOperator final : public Operator {
     }
   }
 
-  bool vectorizable_;
   CompiledExpr pred_;
   std::vector<FieldPlan> plans_;
 };
 
 }  // namespace
 
-// Plan-time path selection compiles each expression exactly once: the
-// vectorized operator's constructor lowers everything it needs and reports
-// vectorizable(); MakeCpuOperator falls back to the scalar operator when
-// any program is not batch-evaluable.
-
-bool CpuQueryVectorizable(const QueryDef& q) {
-  if (q.is_udf()) return false;
-  if (q.is_join()) return CpuVectorJoinOperator(&q).vectorizable();
-  if (q.is_aggregation()) return CpuVectorAggregationOperator(&q).vectorizable();
-  return CpuVectorStatelessOperator(&q).vectorizable();
-}
-
-std::unique_ptr<Operator> MakeCpuOperator(const QueryDef* query,
-                                          bool vectorized) {
+std::unique_ptr<Operator> MakeCpuOperator(const QueryDef* query) {
   if (query->is_udf()) return MakeCpuUdfOperator(query);
-  if (query->is_join()) {
-    if (vectorized) {
-      auto op = std::make_unique<CpuVectorJoinOperator>(query);
-      if (op->vectorizable()) return op;
-    }
-    return std::make_unique<CpuJoinOperator>(query);
-  }
+  if (query->is_join()) return std::make_unique<CpuJoinOperator>(query);
   if (query->is_aggregation()) {
-    if (vectorized) {
-      auto op = std::make_unique<CpuVectorAggregationOperator>(query);
-      if (op->vectorizable()) return op;
-    }
     return std::make_unique<CpuAggregationOperator>(query);
-  }
-  if (vectorized) {
-    auto op = std::make_unique<CpuVectorStatelessOperator>(query);
-    if (op->vectorizable()) return op;
   }
   return std::make_unique<CpuStatelessOperator>(query);
 }

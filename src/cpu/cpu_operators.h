@@ -10,35 +10,22 @@
 /// many tasks concurrently (the paper's data-parallel execution), so the
 /// per-task code is single-threaded.
 ///
-/// Two execution regimes exist, selected per query at plan time:
-///  - *vectorized* (default): every expression the operator needs is
-///    lowered once at construction into a CompiledExpr program and
-///    evaluated batch-at-a-time over pane runs — predicates produce
-///    selection vectors, projections/aggregate inputs/group keys produce
-///    typed columns (see docs/architecture.md, "Vectorized CPU operator
-///    path");
-///  - *scalar* fallback: row-interpreted evaluation over the serialized
-///    tuples (lazy deserialisation, §5.1), mirroring the generic operator
-///    code of the original Java engine. Chosen when an expression cannot be
-///    lowered (CompiledExpr::lowerable()) or when
-///    EngineOptions::cpu_vectorized is off (A/B benchmarking).
-
-/// Feature-test macro for out-of-tree harnesses (bench/operator_kernels.cc
-/// builds against pre-vectorization checkouts for baseline interleaving).
-#define SABER_CPU_VECTORIZED_AVAILABLE 1
+/// Every relational operator runs batch-at-a-time: each expression it needs
+/// (where, projection, aggregate inputs, group keys, join predicate and
+/// projection) is compiled once at construction into a CompiledExpr program
+/// (§5.4's query-specific functions) and evaluated over pane runs.
+/// Predicates produce selection vectors; projections, aggregate inputs and
+/// group keys produce typed columns (see docs/architecture.md, "Vectorized
+/// CPU operator path"). QueryDef::ValidateLimits rejects expressions too
+/// deep for the compiled stack machine at admission, so construction cannot
+/// fail. UDF queries run the user's window function instead
+/// (udf_operator.h).
 
 namespace saber {
 
 /// Creates the CPU operator for a query: stateless scan (σ/π), pane-partial
-/// aggregation (α with GROUP-BY/HAVING) or streaming θ-join. With
-/// `vectorized` (EngineOptions::cpu_vectorized) the batch-at-a-time path is
-/// used when the query is lowerable; the scalar path otherwise.
-std::unique_ptr<Operator> MakeCpuOperator(const QueryDef* query,
-                                          bool vectorized = true);
-
-/// True if every expression the CPU operator needs (where / projection /
-/// aggregate inputs / group keys / join predicate+projection) lowers to a
-/// batch-evaluable CompiledExpr program. UDF queries are never vectorized.
-bool CpuQueryVectorizable(const QueryDef& query);
+/// aggregation (α with GROUP-BY/HAVING), streaming θ-join, or the UDF
+/// window operator.
+std::unique_ptr<Operator> MakeCpuOperator(const QueryDef* query);
 
 }  // namespace saber

@@ -46,16 +46,25 @@ void TraceRing::Push(const TaskSpan& span) {
   std::memcpy(buf, &span, sizeof(TaskSpan));
   const uint64_t idx = next_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[idx % slots_.size()];
-  // Seqlock write: odd while the payload is torn. The acq_rel first bump
-  // keeps the word stores from hoisting above it; the release second bump
-  // keeps them from sinking below. Two writers lapping onto the same slot
-  // (a full ring overrun within one store window) leave the version moving,
-  // which the reader treats as torn and skips.
-  slot.version.fetch_add(1, std::memory_order_acq_rel);
+  // Seqlock write with the version derived from the ticket: lap L of a slot
+  // publishes 2L+1 while copying and 2L+2 when done. The claim is a CAS from
+  // an even (idle) version of an older lap, so two writers never copy into
+  // one slot at once. A writer that finds the slot mid-write, or already
+  // claimed by a newer lap, drops its span: the ring was overrun by a whole
+  // lap inside one copy, and Drain skips that index. The acq_rel claim keeps
+  // the word stores from hoisting above it; the release publish keeps them
+  // from sinking below.
+  const uint64_t writing = 2 * (idx / slots_.size()) + 1;
+  uint64_t v = slot.version.load(std::memory_order_relaxed);
+  do {
+    if ((v & 1) != 0 || v >= writing) return;
+  } while (!slot.version.compare_exchange_weak(v, writing,
+                                               std::memory_order_acq_rel,
+                                               std::memory_order_relaxed));
   for (size_t w = 0; w < Slot::kWords; ++w) {
     slot.words[w].store(buf[w], std::memory_order_relaxed);
   }
-  slot.version.fetch_add(1, std::memory_order_release);
+  slot.version.store(writing + 1, std::memory_order_release);
 }
 
 std::vector<TaskSpan> TraceRing::Drain() const {
@@ -65,9 +74,12 @@ std::vector<TaskSpan> TraceRing::Drain() const {
   out.reserve(count);
   for (uint64_t i = end - count; i < end; ++i) {
     const Slot& slot = slots_[i % slots_.size()];
+    // Accept only the version ticket i's own writer publishes. Anything else
+    // is a copy in progress, a dropped span, or a newer lap's span.
+    const uint64_t done = 2 * (i / slots_.size()) + 2;
     for (int attempt = 0; attempt < 4; ++attempt) {
       const uint64_t v1 = slot.version.load(std::memory_order_acquire);
-      if (v1 & 1) continue;  // mid-write
+      if (v1 != done) continue;
       uint64_t buf[Slot::kWords];
       for (size_t w = 0; w < Slot::kWords; ++w) {
         buf[w] = slot.words[w].load(std::memory_order_relaxed);
@@ -76,7 +88,7 @@ std::vector<TaskSpan> TraceRing::Drain() const {
       // read; the acquire there alone would only stop it hoisting above.
       SeqlockAcquireFence();
       const uint64_t v2 = slot.version.load(std::memory_order_acquire);
-      if (v1 == v2) {
+      if (v2 == done) {
         TaskSpan copy;
         std::memcpy(&copy, buf, sizeof(TaskSpan));
         out.push_back(copy);

@@ -18,10 +18,13 @@
 /// Memory is bounded by construction: sampled spans live *inside* the pooled
 /// QueryTask until completion (no allocation per span), and the ring holds a
 /// fixed number of completed spans — an overrun overwrites the oldest, it
-/// never grows. Slots are seqlock-versioned: a writer bumps the version to
-/// odd, copies the span, bumps to even; Drain() rereads until it observes a
-/// stable even version and discards slots caught mid-write, so a dump is
-/// race-free without ever blocking a worker.
+/// never grows. Slots are seqlock-versioned from the push ticket: the writer
+/// of lap L claims its slot by moving the version to 2L+1, copies the span
+/// and publishes 2L+2; Drain() accepts ticket i's slot only at exactly its
+/// lap's 2L+2, stable across the copy, and discards anything caught
+/// mid-write or already overwritten, so a dump is race-free without ever
+/// blocking a worker. A writer that finds its slot still being copied by an
+/// older lap (an overrun of the whole ring within one copy) drops its span.
 ///
 /// Dumps render as Chrome `trace_event` JSON (load via chrome://tracing or
 /// https://ui.perfetto.dev): one "X" (complete) event per stage, rows keyed

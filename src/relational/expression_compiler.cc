@@ -224,8 +224,9 @@ struct PairAccess {
   }
 };
 
-/// Per-thread lane scratch: max_stack slanes of kBatchSize values. Bounded
-/// by kMaxBatchStack (lowerable programs only), i.e. <= 128 KiB per thread.
+/// Per-thread lane scratch: max_stack slots of kBatchSize values, grown to
+/// the deepest program this thread has evaluated. Bounded by kMaxStack,
+/// i.e. <= 512 KiB per thread.
 LaneVal* BatchScratch(size_t slots) {
   thread_local std::vector<LaneVal> buf;
   const size_t need = slots * CompiledExpr::kBatchSize;
@@ -233,16 +234,10 @@ LaneVal* BatchScratch(size_t slots) {
   return buf.data();
 }
 
-}  // namespace
-
-CompiledExpr CompiledExpr::Compile(const Expression& expr, const Schema& ls,
-                                   const Schema* rs) {
-  CompiledExpr out;
-  out.Emit(expr, ls, rs);
-  out.result_integral_ = expr.integral();
-  // Compute the stack high-water mark for the interpreter's fixed buffer.
+/// Stack high-water mark of a postfix program.
+size_t ProgramStack(const std::vector<Instr>& program) {
   size_t depth = 0, max_depth = 0;
-  for (const Instr& i : out.program_) {
+  for (const Instr& i : program) {
     switch (i.op) {
       case Op::kPushColInt32:
       case Op::kPushColInt64:
@@ -262,10 +257,26 @@ CompiledExpr CompiledExpr::Compile(const Expression& expr, const Schema& ls,
     }
     max_depth = std::max(max_depth, depth);
   }
-  out.max_stack_ = max_depth;
-  SABER_CHECK(max_depth <= kMaxStack);
-  out.lowerable_ = !out.program_.empty() && max_depth <= kMaxBatchStack;
+  return max_depth;
+}
+
+}  // namespace
+
+CompiledExpr CompiledExpr::Compile(const Expression& expr, const Schema& ls,
+                                   const Schema* rs) {
+  CompiledExpr out;
+  out.Emit(expr, ls, rs);
+  out.result_integral_ = expr.integral();
+  out.max_stack_ = ProgramStack(out.program_);
+  SABER_CHECK(out.max_stack_ <= kMaxStack);  // ValidateLimits guards admission
   return out;
+}
+
+size_t CompiledExpr::StackDepth(const Expression& expr, const Schema& ls,
+                                const Schema* rs) {
+  CompiledExpr probe;
+  probe.Emit(expr, ls, rs);
+  return ProgramStack(probe.program_);
 }
 
 void CompiledExpr::EmitAsF64(const Expression& e, const Schema& ls,
@@ -531,7 +542,7 @@ bool CompiledExpr::EvalBool(const uint8_t* left, const uint8_t* right) const {
 
 size_t CompiledExpr::EvalBatchBool(const uint8_t* base, size_t stride, size_t n,
                                    uint32_t* sel_out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   size_t cnt = 0;
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
@@ -553,7 +564,7 @@ size_t CompiledExpr::EvalBatchBool(const uint8_t* base, size_t stride, size_t n,
 void CompiledExpr::EvalBatchDouble(const uint8_t* base, size_t stride,
                                    const uint32_t* sel, size_t n,
                                    double* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);
@@ -575,7 +586,7 @@ void CompiledExpr::EvalBatchDouble(const uint8_t* base, size_t stride,
 void CompiledExpr::EvalBatchInt64(const uint8_t* base, size_t stride,
                                   const uint32_t* sel, size_t n,
                                   int64_t* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);
@@ -599,7 +610,7 @@ size_t CompiledExpr::EvalBatchBoolPairs(const uint8_t* const* left,
                                         const uint8_t* const* right,
                                         const uint8_t* fixed_right, size_t n,
                                         uint32_t* sel_out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   size_t cnt = 0;
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
@@ -626,7 +637,7 @@ void CompiledExpr::EvalBatchDoublePairs(const uint8_t* const* left,
                                         const uint8_t* const* right,
                                         const uint8_t* fixed_right, size_t n,
                                         double* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);
@@ -649,7 +660,7 @@ void CompiledExpr::EvalBatchInt64Pairs(const uint8_t* const* left,
                                        const uint8_t* const* right,
                                        const uint8_t* fixed_right, size_t n,
                                        int64_t* out) const {
-  SABER_CHECK(lowerable_);
+  SABER_CHECK(!program_.empty());
   LaneVal* lanes = BatchScratch(max_stack_);
   for (size_t pos = 0; pos < n; pos += kBatchSize) {
     const size_t m = std::min(kBatchSize, n - pos);

@@ -9,11 +9,10 @@
 /// stack machine. This models SABER's GPGPU code generation (§5.4: operators
 /// are OpenCL templates populated with query-specific functions): the
 /// simulated device executes these programs in tight loops with no virtual
-/// dispatch, and the vectorized CPU operator path executes them
-/// batch-at-a-time with per-instruction loops (cpu_operators.cc). Boolean
-/// connectives are evaluated arithmetically without short-circuiting, which
-/// matches SIMD predication on real GPGPUs (all lanes evaluate every
-/// predicate).
+/// dispatch, and the CPU operators execute them batch-at-a-time with
+/// per-instruction loops (cpu_operators.cc). Boolean connectives are
+/// evaluated arithmetically without short-circuiting, which matches SIMD
+/// predication on real GPGPUs (all lanes evaluate every predicate).
 ///
 /// The stack machine is *typed*: every program value lives in either the
 /// int64 lane or the double lane, decided statically at compile time by
@@ -87,17 +86,23 @@ class CompiledExpr {
   /// amortize instruction dispatch to noise, small enough that one stack
   /// slot's lane (8 KiB) stays L1-resident.
   static constexpr size_t kBatchSize = 1024;
-  /// Scalar-interpreter stack bound (Compile aborts beyond this).
+  /// Stack bound for every program, scalar and batch alike. Batch scratch
+  /// is sized per program (max_stack() slots of kBatchSize values), so the
+  /// worst case is 64 x 1024 x 8 B = 512 KiB per evaluating thread.
+  /// QueryDef::ValidateLimits rejects deeper expressions at admission;
+  /// Compile aborts on them.
   static constexpr size_t kMaxStack = 64;
-  /// Batch-evaluation stack bound: deeper programs are valid but not
-  /// *lowerable* — the CPU operator path falls back to the scalar
-  /// tree-walking interpreter for them (cpu_operators.cc).
-  static constexpr size_t kMaxBatchStack = 16;
 
   /// Compiles `expr`; offsets are resolved against the expression's schemas
-  /// (already baked into ColumnExpr instances at build time).
+  /// (already baked into ColumnExpr instances at build time). Requires
+  /// StackDepth(expr, ...) <= kMaxStack.
   static CompiledExpr Compile(const Expression& expr, const Schema& left_schema,
                               const Schema* right_schema = nullptr);
+
+  /// Stack slots the compiled program for `expr` needs, computed without
+  /// enforcing kMaxStack (the admission-time check).
+  static size_t StackDepth(const Expression& expr, const Schema& left_schema,
+                           const Schema* right_schema = nullptr);
 
   // -------------------------------------------------------------------------
   // Scalar evaluation over one serialized tuple (pair). Values match the
@@ -108,11 +113,10 @@ class CompiledExpr {
   bool EvalBool(const uint8_t* left, const uint8_t* right = nullptr) const;
 
   // -------------------------------------------------------------------------
-  // Batch evaluation (the vectorized CPU operator path). All entry points
-  // require lowerable() and a non-empty program; they chunk internally into
-  // kBatchSize runs, so `n` is unbounded. Thread-safe (scratch is
-  // thread-local); indices written to / read from `sel` are relative to
-  // `base`.
+  // Batch evaluation (the CPU operator path). All entry points require a
+  // non-empty program; they chunk internally into kBatchSize runs, so `n`
+  // is unbounded. Thread-safe (scratch is thread-local); indices written
+  // to / read from `sel` are relative to `base`.
   // -------------------------------------------------------------------------
 
   /// Evaluates the predicate over `n` contiguous tuples `stride` bytes
@@ -149,9 +153,6 @@ class CompiledExpr {
                            const uint8_t* fixed_right, size_t n,
                            int64_t* out) const;
 
-  /// True if the program supports batch evaluation (false for
-  /// default-constructed/empty programs and stacks beyond kMaxBatchStack).
-  bool lowerable() const { return lowerable_; }
   /// True if the program's result lives in the int64 lane (the compiled
   /// mirror of Expression::integral()).
   bool integral_result() const { return result_integral_; }
@@ -168,7 +169,6 @@ class CompiledExpr {
   std::vector<Instr> program_;
   size_t max_stack_ = 0;
   bool result_integral_ = false;
-  bool lowerable_ = false;
 };
 
 }  // namespace saber

@@ -16,8 +16,8 @@
 /// copy-vs-compile decision and the typed conversion rules cannot drift
 /// between processors — which §5.4's cross-processor bit-compatibility
 /// requires. The GPGPU kernels consume plans row-wise (WriteRowFromPlans);
-/// the vectorized CPU operators evaluate each plan's program as a column
-/// and scatter (cpu_operators.cc).
+/// the CPU operators evaluate each plan's program as a column and scatter
+/// (cpu_operators.cc).
 
 namespace saber {
 
@@ -65,19 +65,6 @@ inline std::vector<FieldPlan> BuildFieldPlans(const std::vector<ExprPtr>& exprs,
     plans.push_back(std::move(p));
   }
   return plans;
-}
-
-/// True if every compiled program in the plan set supports batch
-/// evaluation (the vectorized CPU path's plan-time gate).
-inline bool PlansLowerable(const std::vector<FieldPlan>& plans) {
-  for (const FieldPlan& p : plans) {
-    if ((p.kind == FieldPlan::Kind::kInt ||
-         p.kind == FieldPlan::Kind::kDouble) &&
-        !p.prog.lowerable()) {
-      return false;
-    }
-  }
-  return true;
 }
 
 /// Row-wise plan application (the GPGPU work-item form). Conversions match

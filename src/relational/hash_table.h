@@ -30,7 +30,7 @@
 
 namespace saber {
 
-/// Initial capacity of the per-task GROUP-BY tables. The vectorized CPU
+/// Initial capacity of the per-task GROUP-BY tables. The CPU aggregation
 /// operator pools tables of exactly this capacity (cpu_operators.cc):
 /// SerializeTo emits entries in slot order, which depends on the capacity
 /// history, so a pooled table must start every task at the same capacity a
@@ -86,7 +86,7 @@ class GroupHashTable {
     return UpsertHashed(Hash(key), key, tuple_index, ts);
   }
 
-  /// Upsert with a caller-precomputed hash: the vectorized operator hashes
+  /// Upsert with a caller-precomputed hash: the CPU operator hashes
   /// a whole run of packed keys in one pass before probing.
   AggState* UpsertHashed(uint32_t h, const uint8_t* key, int32_t tuple_index,
                          int64_t ts) {

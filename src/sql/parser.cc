@@ -164,6 +164,15 @@ class Parser {
   Status Err(const std::string& msg) const {
     return Status::InvalidArgument(msg + Where());
   }
+  /// Enters one recursive expression production; pair with Unnest().
+  Status Nest() {
+    if (++depth_ > kMaxExprNesting) {
+      return Err("expression nests deeper than " +
+                 std::to_string(kMaxExprNesting) + " levels");
+    }
+    return Status::OK();
+  }
+  void Unnest() { --depth_; }
   std::string DescribeLast() const {
     return pos_ > 0 ? tokens_[pos_ - 1].raw : "expr";
   }
@@ -334,7 +343,9 @@ class Parser {
 
   Result<ExprPtr> ParseNot() {
     if (AcceptKeyword("not")) {
+      SABER_RETURN_NOT_OK(Nest());
       auto e = ParseNot();
+      Unnest();
       if (!e.ok()) return e;
       return Not(std::move(e).value());
     }
@@ -362,20 +373,27 @@ class Parser {
                                                  std::move(rhs).value()));
   }
 
+  // Operator chains build left-deep trees, so every operator applied nests
+  // the chain's left operand one level deeper: it counts against
+  // kMaxExprNesting until the chain ends.
   Result<ExprPtr> ParseAdditive() {
     auto lhs = ParseMultiplicative();
     if (!lhs.ok()) return lhs;
     ExprPtr e = std::move(lhs).value();
+    const size_t chain_base = depth_;
     for (;;) {
       if (Accept(TokenKind::kPlus)) {
+        SABER_RETURN_NOT_OK(Nest());
         auto rhs = ParseMultiplicative();
         if (!rhs.ok()) return rhs;
         e = Add(std::move(e), std::move(rhs).value());
       } else if (Accept(TokenKind::kMinus)) {
+        SABER_RETURN_NOT_OK(Nest());
         auto rhs = ParseMultiplicative();
         if (!rhs.ok()) return rhs;
         e = Sub(std::move(e), std::move(rhs).value());
       } else {
+        depth_ = chain_base;
         return e;
       }
     }
@@ -385,20 +403,25 @@ class Parser {
     auto lhs = ParsePrimary();
     if (!lhs.ok()) return lhs;
     ExprPtr e = std::move(lhs).value();
+    const size_t chain_base = depth_;
     for (;;) {
       if (Accept(TokenKind::kStar)) {
+        SABER_RETURN_NOT_OK(Nest());
         auto rhs = ParsePrimary();
         if (!rhs.ok()) return rhs;
         e = Mul(std::move(e), std::move(rhs).value());
       } else if (Accept(TokenKind::kSlash)) {
+        SABER_RETURN_NOT_OK(Nest());
         auto rhs = ParsePrimary();
         if (!rhs.ok()) return rhs;
         e = Div(std::move(e), std::move(rhs).value());
       } else if (Accept(TokenKind::kPercent)) {
+        SABER_RETURN_NOT_OK(Nest());
         auto rhs = ParsePrimary();
         if (!rhs.ok()) return rhs;
         e = Mod(std::move(e), std::move(rhs).value());
       } else {
+        depth_ = chain_base;
         return e;
       }
     }
@@ -412,12 +435,16 @@ class Parser {
       return Lit(t.number);
     }
     if (Accept(TokenKind::kMinus)) {
+      SABER_RETURN_NOT_OK(Nest());
       auto e = ParsePrimary();
+      Unnest();
       if (!e.ok()) return e;
       return Sub(Lit(static_cast<int64_t>(0)), std::move(e).value());
     }
     if (Accept(TokenKind::kLParen)) {
+      SABER_RETURN_NOT_OK(Nest());
       auto e = ParseOr();
+      Unnest();
       if (!e.ok()) return e;
       SABER_RETURN_NOT_OK(ExpectKind(TokenKind::kRParen, "')'"));
       return e;
@@ -439,7 +466,9 @@ class Parser {
           return Err("'*' argument only valid for count");
         }
       } else {
+        SABER_RETURN_NOT_OK(Nest());
         auto e = ParseOr();
+        Unnest();
         if (!e.ok()) return e;
         input = std::move(e).value();
       }
@@ -567,6 +596,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  size_t depth_ = 0;  // current expression nesting (Nest/Unnest)
   const Catalog& catalog_;
   std::string name_;
   std::vector<Source> sources_;

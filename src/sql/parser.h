@@ -37,6 +37,14 @@
 
 namespace saber::sql {
 
+/// Expression nesting bound. Each parenthesis, aggregate call, unary minus
+/// and NOT is one level, and so is each operator of a +,-,*,/,% chain
+/// (chains build left-deep trees). The parser, the compiler, the evaluator
+/// and the tree's destructor all recurse once per level, so without a bound
+/// a statement of a few kilobytes overflows the stack of the thread that
+/// parses it. The bound is a fixed 4 x CompiledExpr::kMaxStack.
+inline constexpr size_t kMaxExprNesting = 4 * CompiledExpr::kMaxStack;
+
 /// Stream catalog: name -> schema (field 0 must be the timestamp).
 using Catalog = std::map<std::string, Schema>;
 

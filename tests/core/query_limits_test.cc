@@ -3,7 +3,8 @@
 #include "core/engine.h"
 #include "core/query.h"
 
-/// Operator-limit validation (kMaxAggregatesPerQuery / kMaxGroupKeyBytes):
+/// Operator-limit validation (kMaxAggregatesPerQuery / kMaxGroupKeyBytes /
+/// CompiledExpr::kMaxStack):
 /// misuse must fail at query-build time with a clear Status — or, for
 /// hand-assembled QueryDefs, abort at Engine::AddQuery with the limit named
 /// in the message — never mid-task on a worker thread.
@@ -119,6 +120,62 @@ TEST(QueryLifecycleStatusTest, NonPositiveWeightIsInvalidArgument) {
     EXPECT_NE(r.status().message().find("weight"), std::string::npos)
         << r.status().ToString();
   }
+}
+
+TEST(QueryLifecycleStatusTest, TooDeepExpressionIsInvalidArgumentAtAdmission) {
+  // Hand-built definitions bypass TryBuild: admission must reject every
+  // compiled expression role before it constructs the operators, whose
+  // Compile would abort the process.
+  Schema s = TestSchema();
+  const size_t too_deep = CompiledExpr::kMaxStack + 1;
+  auto deep = [&](Side side = Side::kLeft) {  // right-nested: depth slots
+    ExprPtr e = Col(s, "v", side);
+    for (size_t i = 1; i < too_deep; ++i) e = Add(Col(s, "v", side), e);
+    return e;
+  };
+  QueryDef select = QueryBuilder("select", s)
+                        .Select(Col(s, "timestamp"), "timestamp")
+                        .Select(Col(s, "v"), "v")
+                        .Build();
+  QueryDef agg = WithGroupKeys(1).Build();
+  agg.aggregates.push_back(
+      AggregateSpec{AggregateFunction::kSum, Col(s, "v"), "sum"});
+  QueryDef join = QueryBuilder("join", s, s)
+                      .JoinOn(Eq(Col(s, "v"), Col(s, "v", Side::kRight)))
+                      .Build();
+  struct Case {
+    QueryDef def;
+    const char* role;
+  };
+  std::vector<Case> cases;
+  cases.push_back({SimpleSelection("where"), "WHERE"});
+  cases.back().def.where = Gt(deep(), Lit(0));
+  cases.push_back({select, "SELECT"});
+  cases.back().def.select[1] = deep();
+  cases.push_back({agg, "aggregate input"});
+  cases.back().def.aggregates.back().input = deep();
+  cases.push_back({agg, "GROUP BY"});
+  cases.back().def.group_by[0] = deep();
+  cases.push_back({join, "join predicate"});
+  cases.back().def.join_predicate = Eq(deep(), Col(s, "v", Side::kRight));
+  cases.push_back({join, "join projection"});
+  cases.back().def.join_select[1] = deep(Side::kRight);
+
+  Engine engine(TinyEngine(2));
+  for (Case& c : cases) {
+    Result<QueryHandle*> r = engine.TryAddQuery(std::move(c.def));
+    ASSERT_FALSE(r.ok()) << c.role;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    const std::string& msg = r.status().message();
+    EXPECT_NE(msg.find(StrCat(c.role, " expression needs ", too_deep,
+                              " stack slots")),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("CompiledExpr::kMaxStack=64"), std::string::npos)
+        << msg;
+  }
+  EXPECT_EQ(engine.num_live_queries(), 0u);
+  EXPECT_TRUE(engine.TryAddQuery(SimpleSelection("valid")).ok());
 }
 
 TEST(QueryLifecycleStatusTest, RemoveQueryOnForeignHandleIsNotFound) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "reference/reference.h"
 #include "test_util.h"
 
@@ -142,13 +145,17 @@ TEST(AggregationOp, WindowLargerThanStreamEmitsNothing) {
 
 // Property sweep: engine output must equal the reference for every
 // combination of (window type, size, slide, batch size, aggregate mix).
+// The struct has no padding, so its flags are integers: gtest names each
+// case by dumping its bytes, and uninitialised padding bytes would make the
+// test names differ from one build to the next.
 struct AggCase {
-  bool time_based;
+  int64_t time_based;  // 0 or 1
   int64_t size, slide;
   size_t batch;
-  bool grouped;
-  int agg_mix;  // 0: sum, 1: avg+count, 2: min+max, 3: all five
+  int32_t grouped;  // 0 or 1
+  int32_t agg_mix;  // 0: sum, 1: avg+count, 2: min+max, 3: all five
 };
+static_assert(std::has_unique_object_representations_v<AggCase>);
 
 class AggregationPropertyTest : public ::testing::TestWithParam<AggCase> {};
 

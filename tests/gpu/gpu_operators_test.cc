@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "cpu/cpu_operators.h"
 #include "reference/reference.h"
 #include "test_util.h"
@@ -173,13 +176,16 @@ TEST_F(GpuOperatorTest, JoinIdenticalToCpuJoin) {
 }
 
 // Property sweep mirroring the CPU one: the GPGPU back end must agree with
-// the reference under every window/batch combination.
+// the reference under every window/batch combination. Padding-free, hence
+// the integer flags: gtest names each case by dumping its bytes, and
+// uninitialised padding would change the test names between builds.
 struct GpuAggCase {
-  bool time_based;
+  int64_t time_based;  // 0 or 1
   int64_t size, slide;
   size_t batch;
-  bool grouped;
+  int64_t grouped;  // 0 or 1
 };
+static_assert(std::has_unique_object_representations_v<GpuAggCase>);
 
 class GpuAggregationPropertyTest : public ::testing::TestWithParam<GpuAggCase> {
  protected:

@@ -95,6 +95,11 @@ TEST_F(MetricsEndpointTest, ScrapeMatchesEngineAfterFaultedNetworkRun) {
   eo.num_cpu_workers = 2;
   eo.use_gpu = true;
   eo.task_size = 16 << 10;
+  // Pin the query (slot 0, the only one) to the GPGPU so the armed fault
+  // fires by construction rather than by HLS's routing choice. Rejected
+  // tasks are narrowed to the CPU and still run there.
+  eo.scheduler = SchedulerKind::kStatic;
+  eo.static_assignment = {{0, Processor::kGpu}};
   Engine engine(eo);
   engine.Start();
 
@@ -132,7 +137,11 @@ TEST_F(MetricsEndpointTest, ScrapeMatchesEngineAfterFaultedNetworkRun) {
     });
   }
   for (auto& t : producers) t.join();
+  // The control-plane Drain returns once every staged tuple is inserted into
+  // the engine; the engine may still be executing those tasks. Drain it too
+  // (as the local-ingress test below does) so every counter is final.
   ASSERT_TRUE(control.value().Drain(id).ok());
+  engine.Drain();
 
   auto resp = Get(metrics.port(), "/metrics");
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();

@@ -21,8 +21,9 @@
 /// stream — for count, time and session windows, with and without bounded
 /// timestamp jitter within the allowed lateness. Also: a client
 /// disconnecting mid-stream releases the merge watermark instead of
-/// wedging the query, and SQL add/remove over the control plane leaves
-/// surviving queries byte-exact.
+/// wedging the query, SQL add/remove over the control plane leaves
+/// surviving queries byte-exact, and statements too deep to parse or
+/// compile come back as kError without taking the server down.
 
 namespace saber {
 namespace {
@@ -88,20 +89,14 @@ struct RemoteOptions {
   uint8_t hello_policy = 0;     ///< wire LatePolicy (0 = abort semantics)
 };
 
-/// The same statement and stream through a real SaberServer on an
-/// ephemeral port: `num_clients` TCP producers each feed their timestamp
-/// shard; a subscriber connection collects the result batches until
-/// Remove ends the subscription.
-std::vector<uint8_t> RunRemote(const std::string& sql,
-                               const std::vector<uint8_t>& stream,
-                               const RemoteOptions& opts = {}) {
+/// The statement and stream through the running SaberServer on `port`:
+/// `num_clients` TCP producers each feed their timestamp shard; a
+/// subscriber connection collects the result batches until Remove ends the
+/// subscription.
+std::vector<uint8_t> RunOnServer(int port, const std::string& sql,
+                                 const std::vector<uint8_t>& stream,
+                                 const RemoteOptions& opts) {
   const size_t tsz = TupleSize();
-  Engine engine(TestEngineOptions());
-  engine.Start();
-  net::SaberServer server(&engine, MakeCatalog(), net::ServerOptions{});
-  EXPECT_TRUE(server.Start().ok());
-  const int port = server.port();
-
   auto control = net::ControlClient::Connect("127.0.0.1", port);
   EXPECT_TRUE(control.ok()) << control.status().ToString();
   auto info = control.value().Submit(sql);
@@ -154,6 +149,18 @@ std::vector<uint8_t> RunRemote(const std::string& sql,
   EXPECT_TRUE(control.value().Drain(id).ok());
   EXPECT_TRUE(control.value().Remove(id).ok());  // ends the subscription
   reader.join();
+  return out;
+}
+
+/// RunOnServer against a fresh engine and SaberServer on an ephemeral port.
+std::vector<uint8_t> RunRemote(const std::string& sql,
+                               const std::vector<uint8_t>& stream,
+                               const RemoteOptions& opts = {}) {
+  Engine engine(TestEngineOptions());
+  engine.Start();
+  net::SaberServer server(&engine, MakeCatalog(), net::ServerOptions{});
+  EXPECT_TRUE(server.Start().ok());
+  std::vector<uint8_t> out = RunOnServer(server.port(), sql, stream, opts);
   server.Stop();
   engine.Stop();
   return out;
@@ -346,6 +353,52 @@ TEST(NetServer, RemoveLeavesSurvivorByteExact) {
   ASSERT_EQ(expect_a.size(), out_a.size());
   EXPECT_EQ(std::memcmp(expect_a.data(), out_a.data(), expect_a.size()), 0)
       << "survivor query output perturbed by add/remove of another query";
+}
+
+TEST(NetServer, DeepStatementsAreErrorsNotCrashes) {
+  // Admission runs on the server's event loop, so an abort in
+  // CompiledExpr::Compile (the first statement) or a parser stack overflow
+  // (the second) would take every client down. Each must come back as
+  // kError, and the same server must then admit and drain a valid query.
+  std::string deep_sum = "select timestamp, ";
+  for (int i = 0; i < 64; ++i) deep_sum += "a1 + (";
+  deep_sum += "a1" + std::string(64, ')') +
+              " as x from Syn [rows 1024 slide 1024]";
+  const std::string deep_parens = "select * from Syn [rows 64] where " +
+                                  std::string(10000, '(') + "a1 > 1" +
+                                  std::string(10000, ')');
+
+  Engine engine(TestEngineOptions());
+  engine.Start();
+  net::SaberServer server(&engine, MakeCatalog(), net::ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  auto control = net::ControlClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(control.ok()) << control.status().ToString();
+  const std::pair<const std::string*, const char*> cases[] = {
+      {&deep_sum, "CompiledExpr::kMaxStack=64"},
+      {&deep_parens, "nests deeper than"},
+  };
+  for (const auto& [sql, message] : cases) {
+    auto info = control.value().Submit(*sql);
+    ASSERT_FALSE(info.ok());
+    EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(info.status().message().find(message), std::string::npos)
+        << info.status().ToString();
+  }
+
+  const std::string sql =
+      "select timestamp, sum(a1) as total from Syn [rows 256 slide 64]";
+  const auto stream = syn::Generate(16 << 10);
+  RemoteOptions opts;
+  opts.num_clients = 1;
+  const std::vector<uint8_t> remote =
+      RunOnServer(server.port(), sql, stream, opts);
+  server.Stop();
+  engine.Stop();
+  const std::vector<uint8_t> local = RunLocal(sql, stream);
+  ASSERT_GT(local.size(), 0u);
+  ASSERT_EQ(local.size(), remote.size());
+  EXPECT_EQ(std::memcmp(local.data(), remote.data(), local.size()), 0);
 }
 
 }  // namespace

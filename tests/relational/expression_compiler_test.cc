@@ -62,19 +62,55 @@ TEST_F(CompilerTest, StackDepthTracking) {
   EXPECT_DOUBLE_EQ(c.EvalDouble(row_.data()), 31.0);
 }
 
-TEST_F(CompilerTest, DeepProgramsAreNotLowerable) {
-  // Stack depth beyond kMaxBatchStack still evaluates scalar but is
-  // rejected for batch evaluation: the CPU operator path must fall back.
-  ExprPtr shallow = Lit(int64_t{1});
-  for (int i = 0; i < 8; ++i) shallow = Add(Lit(int64_t{1}), shallow);
-  EXPECT_TRUE(CompiledExpr::Compile(*shallow, schema_).lowerable());
-
-  ExprPtr deep = Lit(int64_t{1});
-  for (int i = 0; i < 30; ++i) deep = Add(Lit(int64_t{1}), deep);
-  CompiledExpr c = CompiledExpr::Compile(*deep, schema_);
-  EXPECT_GT(c.max_stack(), CompiledExpr::kMaxBatchStack);
-  EXPECT_FALSE(c.lowerable());
-  EXPECT_DOUBLE_EQ(c.EvalDouble(row_.data()), 31.0);  // scalar still works
+TEST_F(CompilerTest, DeepProgramsBatchMatchScalar) {
+  // The batch scratch is sized per program, so every depth Compile accepts
+  // evaluates batch-at-a-time, identically to the scalar interpreter.
+  std::mt19937 rng(31);
+  std::uniform_int_distribution<int> val(-9, 9);
+  const size_t n = 1500;  // crosses an internal batch boundary
+  const size_t tsz = schema_.tuple_size();
+  std::vector<uint8_t> data(n * tsz);
+  for (size_t i = 0; i < n; ++i) {
+    TupleWriter w(data.data() + i * tsz, &schema_);
+    w.SetInt64(0, 0).SetInt32(1, val(rng)).SetInt32(2, val(rng));
+    w.SetFloat(3, static_cast<float>(val(rng)) / 4.0f);
+  }
+  // Right-leaning chain: each level keeps its left operand on the stack,
+  // alternating the int64 and double lanes.
+  auto chain = [&](size_t depth) {
+    ExprPtr e = Col(schema_, "a");
+    for (size_t i = 1; i < depth; ++i) {
+      e = i % 2 == 0 ? Sub(Col(schema_, "b"), e) : Add(Col(schema_, "f"), e);
+    }
+    return e;
+  };
+  std::vector<double> d(n);
+  std::vector<int64_t> i64(n);
+  std::vector<uint32_t> sel(n);
+  for (size_t depth : {size_t{31}, CompiledExpr::kMaxStack}) {
+    ExprPtr e = chain(depth);
+    ASSERT_EQ(CompiledExpr::StackDepth(*e, schema_), depth);
+    CompiledExpr c = CompiledExpr::Compile(*e, schema_);
+    ASSERT_EQ(c.max_stack(), depth);
+    c.EvalBatchDouble(data.data(), tsz, nullptr, n, d.data());
+    c.EvalBatchInt64(data.data(), tsz, nullptr, n, i64.data());
+    const size_t cnt = c.EvalBatchBool(data.data(), tsz, n, sel.data());
+    size_t expect = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t* row = data.data() + i * tsz;
+      ASSERT_EQ(d[i], c.EvalDouble(row)) << "depth " << depth << " i=" << i;
+      ASSERT_EQ(i64[i], c.EvalInt64(row)) << "depth " << depth << " i=" << i;
+      if (c.EvalBool(row)) {
+        ASSERT_LT(expect, cnt);
+        ASSERT_EQ(sel[expect++], i) << "depth " << depth;
+      }
+    }
+    ASSERT_EQ(expect, cnt) << "depth " << depth;
+  }
+  // One level deeper is measurable without compiling (admission rejects it).
+  EXPECT_EQ(CompiledExpr::StackDepth(*chain(CompiledExpr::kMaxStack + 1),
+                                     schema_),
+            CompiledExpr::kMaxStack + 1);
 }
 
 TEST_F(CompilerTest, Int64KeysBeyondTwoPow53StayExact) {
@@ -139,7 +175,6 @@ TEST_F(CompilerTest, BatchEvaluatorsMatchScalar) {
   std::vector<int64_t> i64(n);
   for (const ExprPtr& e : exprs) {
     CompiledExpr c = CompiledExpr::Compile(*e, schema_);
-    ASSERT_TRUE(c.lowerable()) << e->ToString();
 
     // Dense double / int64 columns.
     c.EvalBatchDouble(data.data(), tsz, nullptr, n, d.data());
@@ -189,7 +224,6 @@ TEST_F(CompilerTest, BatchPairEvaluatorsMatchScalar) {
   auto pred = And({Le(Col(schema_, "a"), Col(right, "x", Side::kRight)),
                    Ne(Col(right, "x", Side::kRight), Lit(int64_t{0}))});
   CompiledExpr c = CompiledExpr::Compile(*pred, schema_, &right);
-  ASSERT_TRUE(c.lowerable());
 
   std::vector<uint32_t> sel(n);
   const size_t cnt = c.EvalBatchBoolPairs(nullptr, row_.data(), rptrs.data(),

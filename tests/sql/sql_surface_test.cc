@@ -224,6 +224,63 @@ TEST(SqlSurfaceDeathTest, ZeroSessionGapIsStatusNotAbort) {
               ::testing::ExitedWithCode(0), "");
 }
 
+/// `select timestamp, a1 + (a1 + (... a1)) as x`: `levels` parenthesized
+/// levels, so the compiled program needs levels + 1 stack slots.
+std::string NestedSumStatement(int levels) {
+  std::string sql = "select timestamp, ";
+  for (int i = 0; i < levels; ++i) sql += "a1 + (";
+  sql += "a1" + std::string(static_cast<size_t>(levels), ')');
+  return sql + " as x from Syn [rows 1024 slide 1024]";
+}
+
+/// `select * from Syn [rows 64] where <prefix>...<prefix><tail>`.
+std::string RepeatedWhere(const std::string& prefix, int n,
+                          const std::string& tail) {
+  std::string sql = "select * from Syn [rows 64] where ";
+  for (int i = 0; i < n; ++i) sql += prefix;
+  return sql + tail;
+}
+
+TEST(SqlSurfaceDeathTest, DeepNestingIsStatusNotAbort) {
+  // Each must come back as a Status: a compiled expression deeper than
+  // CompiledExpr::kMaxStack aborts in Compile, and unbounded nesting
+  // overflows the recursive-descent parser's stack.
+  const std::string statements[] = {
+      NestedSumStatement(64),
+      RepeatedWhere("(", 10000, "a1 > 1" + std::string(10000, ')')),
+      RepeatedWhere("- ", 100000, "a1 > 1"),
+      RepeatedWhere("not ", 100000, "a1 > 1"),
+      RepeatedWhere("a1 + ", 100000, "a1 > 1"),
+  };
+  for (const std::string& sql : statements) {
+    EXPECT_EXIT(ParseAndExit(sql), ::testing::ExitedWithCode(0), "")
+        << sql.substr(0, 80);
+  }
+}
+
+TEST(SqlSurface, ExpressionDepthErrors) {
+  const auto catalog = MakeCatalog();
+  EXPECT_TRUE(sql::Parse(NestedSumStatement(63), catalog).ok());
+  auto deep = sql::Parse(NestedSumStatement(64), catalog);
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(deep.status().message().find("kMaxStack=64"), std::string::npos)
+      << deep.status().message();
+
+  const int bound = static_cast<int>(sql::kMaxExprNesting);
+  EXPECT_TRUE(sql::Parse(RepeatedWhere("(", bound,
+                                       "a1" + std::string(bound, ')') + " > 1"),
+                         catalog)
+                  .ok());
+  auto nested = sql::Parse(RepeatedWhere("(", bound + 1, "a1"), catalog);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_EQ(nested.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(nested.status().message().find("nests deeper than 256 levels at "
+                                           "line 1, column"),
+            std::string::npos)
+      << nested.status().message();
+}
+
 TEST(SqlSurface, SessionWithoutAggregationMessage) {
   auto r = sql::Parse("select * from Syn [session gap 5]", MakeCatalog());
   ASSERT_FALSE(r.ok());

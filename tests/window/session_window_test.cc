@@ -14,9 +14,9 @@
 
 /// \file session_window_test.cc
 /// Session windows (gap-based close) across every layer: the window-math
-/// predicates, QueryBuilder validation, the scalar / vectorized / GPGPU
-/// aggregation operators against the reference model under arbitrary batch
-/// splits, and the engine end to end. The acceptance bar is the usual one:
+/// predicates, QueryBuilder validation, the CPU and GPGPU aggregation
+/// operators against the reference model under arbitrary batch splits, and
+/// the engine end to end. The acceptance bar is the usual one:
 /// output byte-identical to the reference regardless of backend, batch
 /// size, worker count or task size.
 
@@ -86,7 +86,7 @@ TEST(SessionWindow, HandComputedUngroupedCounts) {
                                         {20, 1, 0, 0, 0, 0, 0}});
   QueryDef q = syn::MakeAggregation(AggregateFunction::kCount,
                                     WindowDefinition::Session(3));
-  auto op = MakeCpuOperator(&q, /*vectorized=*/false);
+  auto op = MakeCpuOperator(&q);
   ByteBuffer got = RunSingleInput(*op, q, stream, 4);
   const Schema& os = q.output_schema;
   ASSERT_EQ(got.size(), 2 * os.tuple_size());
@@ -107,33 +107,19 @@ std::vector<uint8_t> SessionStream(size_t n, uint32_t seed,
   return RandomStream(syn::SyntheticSchema(), n, seed, max_gap);
 }
 
-TEST(SessionWindow, ScalarOperatorMatchesReference) {
-  Schema s = syn::SyntheticSchema();
-  for (int64_t gap : {1, 2, 5}) {
-    QueryDef q = syn::MakeAggregationAll(WindowDefinition::Session(gap));
-    auto stream = SessionStream(6000, 1000 + static_cast<uint32_t>(gap));
-    ByteBuffer want = ReferenceEvaluate(q, stream);
-    auto op = MakeCpuOperator(&q, /*vectorized=*/false);
-    for (size_t batch : {size_t{1}, size_t{17}, size_t{256}, size_t{6000}}) {
-      ByteBuffer got = RunSingleInput(*op, q, stream, batch);
-      EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
-          << "gap " << gap << " batch " << batch;
-    }
-  }
-}
-
 TEST(SessionWindow, VectorizedOperatorMatchesReference) {
-  Schema s = syn::SyntheticSchema();
   for (int64_t gap : {1, 2, 5}) {
     QueryDef q = syn::MakeAggregationAll(WindowDefinition::Session(gap));
-    ASSERT_TRUE(CpuQueryVectorizable(q));
-    auto stream = SessionStream(6000, 2000 + static_cast<uint32_t>(gap));
-    ByteBuffer want = ReferenceEvaluate(q, stream);
-    auto op = MakeCpuOperator(&q, /*vectorized=*/true);
-    for (size_t batch : {size_t{1}, size_t{63}, size_t{1024}}) {
-      ByteBuffer got = RunSingleInput(*op, q, stream, batch);
-      EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
-          << "gap " << gap << " batch " << batch;
+    auto op = MakeCpuOperator(&q);
+    for (uint32_t seed : {1000u, 2000u}) {
+      auto stream = SessionStream(6000, seed + static_cast<uint32_t>(gap));
+      ByteBuffer want = ReferenceEvaluate(q, stream);
+      for (size_t batch : {size_t{1}, size_t{17}, size_t{63}, size_t{256},
+                           size_t{1024}, size_t{6000}}) {
+        ByteBuffer got = RunSingleInput(*op, q, stream, batch);
+        EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
+            << "gap " << gap << " seed " << seed << " batch " << batch;
+      }
     }
   }
 }
@@ -145,17 +131,15 @@ TEST(SessionWindow, GroupedWithWhereAndHavingMatchesReference) {
   q.having = Gt(Col(q.output_schema, "cnt"), Lit(1.0));
   auto stream = SessionStream(8000, 77);
   ByteBuffer want = ReferenceEvaluate(q, stream);
-  for (bool vectorized : {false, true}) {
-    auto op = MakeCpuOperator(&q, vectorized);
-    for (size_t batch : {size_t{9}, size_t{300}, size_t{8000}}) {
-      ByteBuffer got = RunSingleInput(*op, q, stream, batch);
-      EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
-          << "vectorized " << vectorized << " batch " << batch;
-    }
+  auto op = MakeCpuOperator(&q);
+  for (size_t batch : {size_t{9}, size_t{300}, size_t{8000}}) {
+    ByteBuffer got = RunSingleInput(*op, q, stream, batch);
+    EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
+        << "batch " << batch;
   }
 }
 
-TEST(SessionWindow, ScalarVectorizedFuzzAgreement) {
+TEST(SessionWindow, FuzzMatchesReference) {
   std::mt19937 rng(20260808);
   for (int iter = 0; iter < 10; ++iter) {
     std::uniform_int_distribution<int64_t> gap_dist(1, 6);
@@ -167,14 +151,10 @@ TEST(SessionWindow, ScalarVectorizedFuzzAgreement) {
                      : syn::MakeAggregationAll(WindowDefinition::Session(gap));
     auto stream = SessionStream(n_dist(rng), static_cast<uint32_t>(rng()));
     ByteBuffer want = ReferenceEvaluate(q, stream);
-    auto scalar = MakeCpuOperator(&q, false);
-    auto vec = MakeCpuOperator(&q, true);
+    auto op = MakeCpuOperator(&q);
     const size_t batch = batch_dist(rng);
-    ByteBuffer a = RunSingleInput(*scalar, q, stream, batch);
-    ByteBuffer b = RunSingleInput(*vec, q, stream, batch);
-    EXPECT_TRUE(BuffersEqual(a, want, q.output_schema.tuple_size()))
-        << "iter " << iter << " gap " << gap << " batch " << batch;
-    EXPECT_TRUE(BuffersEqual(b, want, q.output_schema.tuple_size()))
+    ByteBuffer got = RunSingleInput(*op, q, stream, batch);
+    EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
         << "iter " << iter << " gap " << gap << " batch " << batch;
   }
 }
