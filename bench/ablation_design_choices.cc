@@ -4,12 +4,8 @@
 ///       depth-1 (serialized) pipeline;
 ///   (b) HLS lookahead — Alg. 1's delay-based stealing vs lookahead 1
 ///       (pure preference + switch threshold);
-///   (c) incremental (invertible) window assembly vs merge-per-window,
-///       contrasted via AGGsum (running path) and AGGmax (merge path) at a
-///       fine slide;
-///   (d) two-stacks assembly [50] vs forced re-merge for the non-invertible
-///       AGGmax — the general incremental path that closes most of the gap
-///       ablation (c) exposes.
+///   (c) two-stacks assembly [50] vs forced re-merge for AGGmax at a fine
+///       slide — incremental sliding-window assembly vs merge-per-window.
 
 #include "bench_util.h"
 #include "workloads/synthetic.h"
@@ -60,26 +56,10 @@ int main() {
   std::printf("Expected: lookahead > 1 lets idle processors steal delayed "
               "tasks (Alg. 1 line 6).\n");
 
-  // (c) incremental vs merge-per-window assembly.
-  PrintHeader("Ablation C — incremental vs merge assembly (w 32KB, slide 128B)",
-              {"aggregate", "GB/s"});
-  for (auto [name, fn] :
-       {std::pair<const char*, AggregateFunction>{"sum (incremental)",
-                                                  AggregateFunction::kSum},
-        {"max (two-stacks)", AggregateFunction::kMax}}) {
-    QueryDef def = syn::MakeAggregation(fn, WindowDefinition::Count(1024, 4));
-    RunResult r = RunSaber(DefaultOptions(), def, data, 2);
-    PrintCell(std::string(name));
-    PrintCell(r.gbps());
-    EndRow();
-  }
-  std::printf("Expected: the invertible running path sustains higher "
-              "throughput at fine slides (§5.3).\n");
-
-  // (d) two-stacks vs re-merge for a non-invertible aggregate. The window
-  // spans 256 panes (slide 4), so re-merge does 256 pane merges per emitted
-  // window while two-stacks amortizes to O(1).
-  PrintHeader("Ablation D — two-stacks [50] vs re-merge for AGGmax "
+  // (c) two-stacks vs re-merge. The window spans 256 panes (slide 4), so
+  // re-merge does 256 pane merges per emitted window while two-stacks
+  // amortizes to O(1).
+  PrintHeader("Ablation C — two-stacks [50] vs re-merge for AGGmax "
               "(w 32KB, slide 128B)",
               {"assembly", "GB/s"});
   for (auto [name, mode] : {std::pair<const char*, AssemblyMode>{
@@ -93,7 +73,7 @@ int main() {
     PrintCell(r.gbps());
     EndRow();
   }
-  std::printf("Expected: two-stacks keeps non-invertible aggregation near the "
-              "invertible running path; re-merge collapses at fine slides.\n");
+  std::printf("Expected: two-stacks sustains the fine slide; re-merge "
+              "collapses under 256 pane merges per window.\n");
   return 0;
 }

@@ -1,6 +1,7 @@
 /// Component micro-benchmarks (google-benchmark): the building blocks whose
-/// costs explain the figure-level results — interpreted vs compiled
-/// expression evaluation (the CPU/GPGPU gap of Figs. 8/10), circular-buffer
+/// costs explain the figure-level results — per-tuple tree interpretation
+/// vs compiled batch expression evaluation (the operators' predicate cost
+/// in Figs. 8/10), circular-buffer
 /// insertion (the dispatcher bound of §6.3), hash-table upserts (GROUP-BY),
 /// pane math, and the modeled PCIe transfer.
 
@@ -43,14 +44,18 @@ BENCHMARK(BM_InterpretedPredicate)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 
 void BM_CompiledPredicate(benchmark::State& state) {
   Schema s = syn::SyntheticSchema();
-  auto data = MakeData(4096);
+  constexpr size_t kTuples = 4096;
+  auto data = MakeData(kTuples);
   ExprPtr pred = MakePredicate(static_cast<int>(state.range(0)), s);
   CompiledExpr prog = CompiledExpr::Compile(*pred, s);
-  size_t i = 0;
+  std::vector<uint32_t> sel(kTuples);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(prog.EvalBool(data.data() + (i++ % 4096) * 32));
+    benchmark::DoNotOptimize(
+        prog.EvalBatchBool(data.data(), 32, kTuples, sel.data()));
+    benchmark::DoNotOptimize(sel.data());
+    benchmark::ClobberMemory();
   }
-  state.SetItemsProcessed(state.iterations());
+  state.SetItemsProcessed(state.iterations() * kTuples);
 }
 BENCHMARK(BM_CompiledPredicate)->Arg(1)->Arg(8)->Arg(32)->Arg(64);
 
@@ -106,7 +111,6 @@ void BM_PcieTransfer(benchmark::State& state) {
     GpuJob* job = dev.AcquireJob();
     job->num_spans = 1;
     job->host_input[0] = SpanPair{data.data(), bytes, nullptr, 0};
-    job->input_bytes[0] = bytes;
     job->result = &results[r++ % results.size()];
     job->kernel = [](SimDevice&, GpuJob&) {};
     SimDevice* d = &dev;

@@ -68,7 +68,9 @@ struct QueryState {
   // latencies under the assembly token.
   std::unique_ptr<TaskSizeController> controller;
   std::unique_ptr<Operator> cpu_op;
-  std::unique_ptr<GpuOperatorBase> gpu_op;
+  /// Runs cpu_op's batch function on the device; declared after cpu_op,
+  /// which it borrows.
+  std::unique_ptr<GpuOperator> gpu_op;
 
   // Dispatching stage (§4.1). buffer[i] is non-null from admission until
   // retirement; every dereference outside a pinned InsertInto happens under
@@ -379,7 +381,7 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
       });
   qs->cpu_op = MakeCpuOperator(&qs->def);
   if (device_ != nullptr) {
-    qs->gpu_op = MakeGpuOperator(&qs->def, device_.get());
+    qs->gpu_op = std::make_unique<GpuOperator>(*qs->cpu_op, device_.get());
   }
   for (int i = 0; i < qs->def.num_inputs; ++i) {
     qs->buffer[i] = std::make_unique<CircularBuffer>(

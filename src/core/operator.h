@@ -150,8 +150,8 @@ class AssemblyState {
 };
 
 /// A batch operator function plus its assembly counterpart. Implementations:
-/// cpu/cpu_operators.h (interpreted, one task per CPU core) and
-/// gpu/gpu_operators.h (compiled kernels on the simulated device).
+/// cpu/cpu_operators.h (one task per CPU core) and gpu/gpu_operators.h
+/// (the same batch operator, run in work groups on the simulated device).
 class Operator {
  public:
   virtual ~Operator() = default;

@@ -70,10 +70,10 @@ inline const char* QueryLifecycleName(QueryLifecycle s) {
 }
 
 /// How the assembly stage computes sliding-window aggregates from pane
-/// partials (§5.3). kAuto picks the cheapest sound strategy: subtract-based
-/// incremental for invertible functions, two-stacks (two_stacks.h, [50]) for
-/// non-invertible ungrouped ones, re-merge otherwise. kRemergeOnly forces the
-/// naive merge-all-panes-per-window path (ablation baseline).
+/// partials (§5.3). kAuto uses two-stacks (two_stacks.h, [50]) for ungrouped
+/// aggregates and re-merges each window's panes for grouped ones.
+/// kRemergeOnly forces the naive merge-all-panes-per-window path (ablation
+/// baseline).
 enum class AssemblyMode : uint8_t { kAuto, kRemergeOnly };
 
 /// Fully-resolved query definition. Instances are immutable once built and

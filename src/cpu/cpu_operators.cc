@@ -94,9 +94,8 @@ void ForEachSegment(const SpanPair& data, size_t tuple_size, Fn&& fn) {
   if (n2 > 0) fn(data.seg2, n2, n1);
 }
 
-// Output-row plans come from relational/field_plan.h (shared with the
-// GPGPU back end); here each plan's program is evaluated as a column and
-// scattered into the appended rows.
+// Output-row plans come from relational/field_plan.h; each plan's program
+// is evaluated as a column and scattered into the appended rows.
 
 /// Scatters an int64 column into output rows, truncating to the field type
 /// (like TupleWriter::SetInt32 after Expression::EvalInt64).

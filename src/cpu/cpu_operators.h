@@ -5,10 +5,11 @@
 #include "core/operator.h"
 
 /// \file cpu_operators.h
-/// CPU implementations of the batch operator functions (§5.3). One query
-/// task is processed by one worker thread; parallelism comes from running
-/// many tasks concurrently (the paper's data-parallel execution), so the
-/// per-task code is single-threaded.
+/// The batch operator functions (§5.3). On the CPU one query task is
+/// processed by one worker thread; parallelism comes from running many
+/// tasks concurrently (the paper's data-parallel execution), so the
+/// per-task code is single-threaded. The simulated GPGPU runs the same
+/// operators, one call per work group (gpu_operators.h).
 ///
 /// Every relational operator runs batch-at-a-time: each expression it needs
 /// (where, projection, aggregate inputs, group keys, join predicate and

@@ -6,32 +6,13 @@
 
 namespace saber {
 
-namespace {
-
-/// Inverse of AggMerge for invertible aggregates (sum/count/avg). min/max
-/// fields become stale; the running path is only enabled when no min/max
-/// aggregate is present.
-void SubtractState(AggState* into, const AggState& from) {
-  into->sum -= from.sum;
-  into->count -= from.count;
-}
-
-}  // namespace
-
 AggregationAssembly::AggregationAssembly(const QueryDef& q)
     : q_(q),
       w_(q.window[0]),
       fmt_(PaneFormat::For(q)),
       stacks_(fmt_.num_aggs),
       scratch_(fmt_.grouped() ? fmt_.key_size : 8, fmt_.num_aggs, 1024) {
-  const bool incremental = q.assembly_mode == AssemblyMode::kAuto;
-  use_running_ = !fmt_.grouped() && incremental;
-  for (const auto& a : q.aggregates) {
-    if (!Invertible(a.fn)) use_running_ = false;
-  }
-  use_stacks_ = !fmt_.grouped() && incremental && !use_running_;
-  running_.resize(fmt_.num_aggs);
-  for (auto& s : running_) AggInit(&s);
+  use_stacks_ = !fmt_.grouped() && q.assembly_mode == AssemblyMode::kAuto;
   stacks_query_.resize(fmt_.num_aggs);
 }
 
@@ -156,21 +137,18 @@ void AggregationAssembly::EmitReadyWindows(ByteBuffer* output) {
       const int64_t first_open = FloorDiv(watermark_ - w_.size, w_.slide) + 1;
       if (first_open > next_window_) {
         next_window_ = std::max<int64_t>(0, first_open);
-        running_valid_ = false;
       }
       return;
     }
     // Skip windows that end before the earliest stored pane: they are empty.
     const int64_t p0 = store_.begin()->first;
     const int64_t j0 = CeilDiv(p0 + 1 - w_.panes_per_window(), w_.panes_per_slide());
-    if (j0 > next_window_) {
-      next_window_ = std::max<int64_t>(0, j0);
-      running_valid_ = false;
-    }
+    if (j0 > next_window_) next_window_ = std::max<int64_t>(0, j0);
     if (WindowEnd(w_, next_window_) > watermark_) return;
     EmitWindow(next_window_, output);
     ++next_window_;
-    PruneBefore(FirstPaneOf(w_, next_window_));
+    store_.erase(store_.begin(),
+                 store_.lower_bound(FirstPaneOf(w_, next_window_)));
   }
 }
 
@@ -184,22 +162,11 @@ void AggregationAssembly::EmitWindow(int64_t j, ByteBuffer* output) {
   // Locate the last non-empty pane of the window; its max_ts is the window's
   // max tuple timestamp (timestamps are non-decreasing along panes).
   auto it = store_.upper_bound(last);
-  if (it == store_.begin()) {
-    running_valid_ = false;  // window is empty: emit nothing
-    return;
-  }
+  if (it == store_.begin()) return;  // window is empty: emit nothing
   --it;
-  if (it->first < first) {
-    running_valid_ = false;  // all stored panes precede this window
-    return;
-  }
+  if (it->first < first) return;  // all stored panes precede this window
   const int64_t ts = it->second.max_ts;
 
-  if (use_running_) {
-    AdvanceRunning(j);
-    EmitUngroupedRow(ts, running_.data(), output);
-    return;
-  }
   if (use_stacks_) {
     AdvanceStacks(j);
     for (auto& s : stacks_query_) AggInit(&s);
@@ -216,41 +183,6 @@ void AggregationAssembly::EmitWindow(int64_t j, ByteBuffer* output) {
     for (size_t a = 0; a < fmt_.num_aggs; ++a) AggMerge(&acc[a], pit->second.aggs[a]);
   }
   EmitUngroupedRow(ts, acc.data(), output);
-}
-
-void AggregationAssembly::AdvanceRunning(int64_t j) {
-  const int64_t first = FirstPaneOf(w_, j);
-  const int64_t last = LastPaneOf(w_, j);
-  if (!running_valid_) {
-    for (auto& s : running_) AggInit(&s);
-    for (auto it = store_.lower_bound(first);
-         it != store_.end() && it->first <= last; ++it) {
-      for (size_t a = 0; a < fmt_.num_aggs; ++a) {
-        AggMerge(&running_[a], it->second.aggs[a]);
-      }
-    }
-    running_lo_pane_ = first;
-    running_hi_pane_ = last;
-    running_valid_ = true;
-    return;
-  }
-  // Subtract panes that slid out of the window since the last emission (they
-  // are still in the store: pruning lags running_lo_pane_).
-  for (auto it = store_.lower_bound(running_lo_pane_);
-       it != store_.end() && it->first < first; ++it) {
-    for (size_t a = 0; a < fmt_.num_aggs; ++a) {
-      SubtractState(&running_[a], it->second.aggs[a]);
-    }
-  }
-  running_lo_pane_ = first;
-  // Add panes that slid into the window.
-  for (auto it = store_.upper_bound(running_hi_pane_);
-       it != store_.end() && it->first <= last; ++it) {
-    for (size_t a = 0; a < fmt_.num_aggs; ++a) {
-      AggMerge(&running_[a], it->second.aggs[a]);
-    }
-  }
-  running_hi_pane_ = std::max(running_hi_pane_, last);
 }
 
 void AggregationAssembly::AdvanceStacks(int64_t j) {
@@ -344,13 +276,6 @@ void AggregationAssembly::EmitGroupedRows(int64_t window_ts,
       }
     }
   }
-}
-
-void AggregationAssembly::PruneBefore(int64_t pane) {
-  // The running aggregate subtracts expiring panes lazily on the next
-  // advance; keep them alive until then.
-  if (use_running_ && running_valid_) pane = std::min(pane, running_lo_pane_);
-  store_.erase(store_.begin(), store_.lower_bound(pane));
 }
 
 }  // namespace saber

@@ -14,13 +14,15 @@
 /// aggregate (plain AggStates, or a serialized group hash table). The
 /// assembly state ingests pane partials strictly in task order, tracks the
 /// axis watermark, and emits each window result exactly once — when the
-/// watermark passes the window's end. Incremental computation (§5.3) is used
-/// when every aggregate is invertible: a running aggregate slides over the
-/// pane sequence instead of re-merging panes_per_window panes per emission.
+/// watermark passes the window's end. Ungrouped sliding windows are computed
+/// incrementally (§5.3) with two-stacks (two_stacks.h): each pane is merged
+/// a constant number of times instead of panes_per_window times per
+/// emission, and no pane is ever subtracted, so a large value cannot leave
+/// a residue in later windows.
 ///
-/// The same logic serves the CPU and GPGPU back ends ("the result
-/// aggregation logic is the same for both", §5.4); only the production of
-/// pane partials differs.
+/// The same logic serves CPU and GPGPU tasks ("the result aggregation logic
+/// is the same for both", §5.4): both run the same batch operator, so their
+/// pane partials are identical.
 
 namespace saber {
 
@@ -90,9 +92,7 @@ class AggregationAssembly : public AssemblyState {
   void MergeSessionSegment(const uint8_t* data, size_t len,
                            ByteBuffer* output);
   void EmitSession(ByteBuffer* output);
-  void AdvanceRunning(int64_t j);
   void AdvanceStacks(int64_t j);
-  void PruneBefore(int64_t pane);
 
   const QueryDef& q_;
   const WindowDefinition& w_;
@@ -102,21 +102,11 @@ class AggregationAssembly : public AssemblyState {
   int64_t next_window_ = 0;            // next window index to consider
   int64_t watermark_ = 0;              // axis position covered so far
 
-  // Incremental (invertible) path: running aggregate over the panes
-  // [running_lo_pane_, running_hi_pane_] present in the store. Pruning lags
-  // behind running_lo_pane_ so the next advance can still subtract expiring
-  // panes.
-  bool use_running_;
-  bool running_valid_ = false;
-  int64_t running_lo_pane_ = 0;
-  int64_t running_hi_pane_ = -1;
-  std::vector<AggState> running_;
-
-  // Two-stacks path ([50], two_stacks.h) for non-invertible ungrouped
-  // aggregates: amortized O(1) merges per pane instead of re-merging
-  // panes_per_window panes per emitted window. Final panes are pushed lazily
-  // at emission time (a pane may still receive contributions from the next
-  // task while its end lies beyond the watermark).
+  // Two-stacks path ([50], two_stacks.h) for ungrouped aggregates:
+  // amortized O(1) merges per pane instead of re-merging panes_per_window
+  // panes per emitted window. Final panes are pushed lazily at emission
+  // time (a pane may still receive contributions from the next task while
+  // its end lies beyond the watermark).
   bool use_stacks_;
   TwoStacksAggregator stacks_;
   std::vector<AggState> stacks_query_;

@@ -8,6 +8,10 @@
 
 namespace saber {
 
+namespace {
+
+/// Slices one input's stream batch into panes, appending the tuples of each
+/// pane to out->partials with a PaneEntry per pane.
 void CollectPanes(const QueryDef& q, const StreamBatch& in, int input,
                   TaskResult* out) {
   const WindowDefinition& w = q.window[input];
@@ -38,8 +42,6 @@ void CollectPanes(const QueryDef& q, const StreamBatch& in, int input,
   }
   flush();
 }
-
-namespace {
 
 /// CPU batch operator function for UDF queries: fragment collection (§3's
 /// f_f). Runs single-threaded per task; parallelism comes from concurrent

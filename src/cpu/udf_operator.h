@@ -66,13 +66,9 @@ class UdfAssembly : public AssemblyState {
   ByteBuffer window_scratch_[2];
 };
 
-/// Slices one input's stream batch into panes, appending the tuples of each
-/// pane to out->partials with a PaneEntry per pane. Shared by the CPU
-/// operator (below) and the simulated-GPGPU collection kernel.
-void CollectPanes(const QueryDef& q, const StreamBatch& in, int input,
-                  TaskResult* out);
-
-/// Creates the CPU operator for a UDF query.
+/// Creates the batch operator for a UDF query: fragment collection. The
+/// simulated GPGPU runs it too, as one work group per task
+/// (gpu_operators.h).
 std::unique_ptr<Operator> MakeCpuUdfOperator(const QueryDef* query);
 
 }  // namespace saber

@@ -16,10 +16,11 @@
 /// K5200 + OpenCL stack (see DESIGN.md, "Hardware substitution"). It
 /// reproduces the three properties SABER's design depends on:
 ///
-///  1. *Throughput-oriented execution*: kernels are compiled, type-
-///     specialized tight loops (expression_compiler.h) dispatched over
-///     work-groups onto a pool of executor threads (the "SMs"), in contrast
-///     to the interpreted row-at-a-time CPU operator path.
+///  1. *Throughput-oriented execution*: a task's kernel is dispatched as
+///     work groups onto a pool of executor threads (the "SMs"), so one task
+///     runs on several threads at once, whereas a CPU worker runs one task
+///     on one core. The kernels run the queries' compiled batch operators
+///     (gpu_operators.h).
 ///  2. *PCIe-bounded data movement*: every movein/moveout transfer is paced
 ///     to `dma_latency + bytes / pcie_bandwidth` of wall-clock time
 ///     (defaults: 10 us latency [43], 8 GB/s effective bandwidth, §2.2).
@@ -28,13 +29,12 @@
 ///     and a fixed set of in-flight job slots, so DMA transfers of task i±1
 ///     overlap the kernel execution of task i.
 ///
-/// Determinism note: work-groups may be executed by any executor thread, but
-/// every kernel writes to per-group output slots that are concatenated in
-/// group order, and per-fragment aggregation is sequential within the
-/// fragment — so device output is bit-identical to the CPU operators, which
-/// the property tests rely on. The paper's intra-fragment reduction tree is
-/// represented by the cost model rather than by reordered floating-point
-/// arithmetic.
+/// Determinism note: work groups may be executed by any executor thread, but
+/// every kernel writes to per-group outputs that are concatenated in group
+/// order, and a group boundary never splits a window fragment — so device
+/// output is bit-identical to the CPU operators, which the property tests
+/// rely on. The paper's intra-fragment reduction tree is represented by the
+/// cost model rather than by reordered floating-point arithmetic.
 
 namespace saber {
 
@@ -59,10 +59,11 @@ struct SimDeviceOptions {
 struct GpuJob {
   int64_t task_id = 0;
 
-  // Filled at submit time. Joins ship four spans: both batches plus both
-  // window histories (§4.1: the free pointer keeps them alive on the host).
+  // Filled at submit time: up to two spans per input, its batch and its
+  // window history (non-empty for joins; §4.1: the free pointer keeps it
+  // alive on the host). copyin lays the spans out back to back in
+  // device_in.
   SpanPair host_input[4];
-  size_t input_bytes[4] = {0, 0, 0, 0};
   int num_spans = 1;
   /// Device-side computation: reads device_in, writes device_out and
   /// metadata. Runs on the execute stage; may use SimDevice::ParallelFor.
@@ -75,7 +76,6 @@ struct GpuJob {
   ByteBuffer pinned_in;    // host pinned memory (copyin target)
   ByteBuffer device_in;    // device global memory (movein target)
   ByteBuffer device_out;   // kernel output payload: [complete][partials]
-  ByteBuffer device_scratch;  // per-group staging
   ByteBuffer pinned_out;   // moveout target
 
   // Kernel-produced metadata describing device_out.
@@ -95,12 +95,10 @@ struct GpuJob {
     pinned_in.Clear();
     device_in.Clear();
     device_out.Clear();
-    device_scratch.Clear();
     pinned_out.Clear();
     panes.clear();
     complete_bytes = partials_bytes = 0;
     axis_p = axis_q = 0;
-    for (size_t& b : input_bytes) b = 0;
     num_spans = 1;
     kernel = nullptr;
     result = nullptr;

@@ -1,28 +1,20 @@
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "relational/expression.h"
 
-#if !defined(__cpp_lib_atomic_ref)
-#error \
-    "saber requires C++20: aggregate.h uses std::atomic_ref for lock-free " \
-    "partial-aggregate merging. Build with -std=c++20 or newer (a C++17 " \
-    "toolchain otherwise fails here with an opaque template error)."
-#endif
-
 /// \file aggregate.h
 /// Aggregate functions (§2.4, §5.3). The engine computes partial aggregates
 /// per *window fragment* and later merges them in the assembly operator
 /// function, so every function is expressed over a mergeable POD state.
-/// sum/count/avg are additionally *invertible*, enabling the incremental
-/// pane-based computation of §5.3 (subtract an expiring pane instead of
-/// recomputing the window).
+/// sum/count/avg are additionally *invertible* (§5.3). The assembly does not
+/// rely on it: subtracting an expiring pane from a float sum drifts once a
+/// large value has passed through the window, so sliding windows use
+/// two-stacks (two_stacks.h), which only merges.
 
 namespace saber {
 
@@ -101,60 +93,6 @@ inline double AggFinalize(AggregateFunction f, const AggState& s) {
     case AggregateFunction::kMax: return s.count == 0 ? 0.0 : s.max_v;
   }
   return 0.0;
-}
-
-/// Lock-free double accumulation via CAS on the bit pattern. Used by the
-/// simulated GPGPU GROUP-BY kernel where threads of a work group update a
-/// shared hash-table slot (§5.4: "atomically increments the aggregate
-/// value").
-inline void AtomicAddDouble(double* target, double v) {
-  auto* bits = reinterpret_cast<uint64_t*>(target);
-  std::atomic_ref<uint64_t> ref(*bits);
-  uint64_t expected = ref.load(std::memory_order_relaxed);
-  for (;;) {
-    const double cur = std::bit_cast<double>(expected);
-    const uint64_t desired = std::bit_cast<uint64_t>(cur + v);
-    if (ref.compare_exchange_weak(expected, desired, std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-inline void AtomicMinDouble(double* target, double v) {
-  auto* bits = reinterpret_cast<uint64_t*>(target);
-  std::atomic_ref<uint64_t> ref(*bits);
-  uint64_t expected = ref.load(std::memory_order_relaxed);
-  for (;;) {
-    const double cur = std::bit_cast<double>(expected);
-    if (v >= cur) return;
-    const uint64_t desired = std::bit_cast<uint64_t>(v);
-    if (ref.compare_exchange_weak(expected, desired, std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-inline void AtomicMaxDouble(double* target, double v) {
-  auto* bits = reinterpret_cast<uint64_t*>(target);
-  std::atomic_ref<uint64_t> ref(*bits);
-  uint64_t expected = ref.load(std::memory_order_relaxed);
-  for (;;) {
-    const double cur = std::bit_cast<double>(expected);
-    if (v <= cur) return;
-    const uint64_t desired = std::bit_cast<uint64_t>(v);
-    if (ref.compare_exchange_weak(expected, desired, std::memory_order_relaxed)) {
-      return;
-    }
-  }
-}
-
-/// Atomic variant of AggAdd for shared slots.
-inline void AggAddAtomic(AggState* s, double v) {
-  AtomicAddDouble(&s->sum, v);
-  std::atomic_ref<int64_t> cnt(s->count);
-  cnt.fetch_add(1, std::memory_order_relaxed);
-  AtomicMinDouble(&s->min_v, v);
-  AtomicMaxDouble(&s->max_v, v);
 }
 
 }  // namespace saber

@@ -12,12 +12,12 @@
 /// expression trees that are shared by all query tasks (evaluation is const
 /// and thread-safe).
 ///
-/// Two evaluation regimes exist, mirroring the paper's two back ends:
-///  - the CPU operator path *interprets* the tree per tuple (virtual
-///    dispatch), like SABER's generic Java operators (§5.3);
-///  - the GPGPU path lowers the tree once per query into a flat postfix
-///    program (expression_compiler.h) executed by a tight loop, like SABER's
-///    populated OpenCL code templates (§5.4).
+/// The operators on both processors lower the tree once per query into a
+/// flat postfix program (expression_compiler.h) evaluated batch-at-a-time,
+/// like SABER's populated code templates (§5.4). The tree's own Eval*
+/// methods interpret it per tuple; they serve the reference model
+/// (src/reference/), the HAVING filter, UDFs and the baseline engines, and
+/// they are the oracle the compiled programs must match bit for bit.
 
 namespace saber {
 

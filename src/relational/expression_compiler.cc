@@ -363,180 +363,6 @@ void CompiledExpr::Emit(const Expression& e, const Schema& ls, const Schema* rs)
 }
 
 // ---------------------------------------------------------------------------
-// Scalar evaluation (per-tuple): same typed semantics, one value per slot.
-// Used by the simulated GPGPU work items and as the batch paths' oracle.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-inline LaneVal EvalScalar(const std::vector<Instr>& program,
-                          const uint8_t* left, const uint8_t* right) {
-  LaneVal stack[CompiledExpr::kMaxStack];
-  int sp = -1;
-  for (const Instr& i : program) {
-    switch (i.op) {
-      case Op::kPushColInt32: {
-        int32_t v;
-        std::memcpy(&v, (i.side ? right : left) + i.offset, sizeof(v));
-        stack[++sp].i = v;
-        break;
-      }
-      case Op::kPushColInt64: {
-        int64_t v;
-        std::memcpy(&v, (i.side ? right : left) + i.offset, sizeof(v));
-        stack[++sp].i = v;
-        break;
-      }
-      case Op::kPushColFloat: {
-        float v;
-        std::memcpy(&v, (i.side ? right : left) + i.offset, sizeof(v));
-        stack[++sp].d = static_cast<double>(v);
-        break;
-      }
-      case Op::kPushColDouble: {
-        double v;
-        std::memcpy(&v, (i.side ? right : left) + i.offset, sizeof(v));
-        stack[++sp].d = v;
-        break;
-      }
-      case Op::kPushConstF64:
-        stack[++sp].d = i.constant;
-        break;
-      case Op::kPushConstI64:
-        stack[++sp].i = i.iconst;
-        break;
-      case Op::kCastF64:
-        stack[sp].d = static_cast<double>(stack[sp].i);
-        break;
-      case Op::kTestF64:
-        stack[sp].i = stack[sp].d != 0.0 ? 1 : 0;
-        break;
-      case Op::kAddF64:
-        stack[sp - 1].d += stack[sp].d;
-        --sp;
-        break;
-      case Op::kSubF64:
-        stack[sp - 1].d -= stack[sp].d;
-        --sp;
-        break;
-      case Op::kMulF64:
-        stack[sp - 1].d *= stack[sp].d;
-        --sp;
-        break;
-      case Op::kDivF64:
-        stack[sp - 1].d =
-            stack[sp].d == 0.0 ? 0.0 : stack[sp - 1].d / stack[sp].d;
-        --sp;
-        break;
-      case Op::kModF64:
-        stack[sp - 1].d = DoubleMod(stack[sp - 1].d, stack[sp].d);
-        --sp;
-        break;
-      case Op::kAddI64:
-        stack[sp - 1].i += stack[sp].i;
-        --sp;
-        break;
-      case Op::kSubI64:
-        stack[sp - 1].i -= stack[sp].i;
-        --sp;
-        break;
-      case Op::kMulI64:
-        stack[sp - 1].i *= stack[sp].i;
-        --sp;
-        break;
-      case Op::kModI64:
-        stack[sp - 1].i =
-            stack[sp].i == 0 ? 0 : stack[sp - 1].i % stack[sp].i;
-        --sp;
-        break;
-      case Op::kLtF64:
-        stack[sp - 1].i = stack[sp - 1].d < stack[sp].d ? 1 : 0;
-        --sp;
-        break;
-      case Op::kLeF64:
-        stack[sp - 1].i = stack[sp - 1].d <= stack[sp].d ? 1 : 0;
-        --sp;
-        break;
-      case Op::kEqF64:
-        stack[sp - 1].i = stack[sp - 1].d == stack[sp].d ? 1 : 0;
-        --sp;
-        break;
-      case Op::kNeF64:
-        stack[sp - 1].i = stack[sp - 1].d != stack[sp].d ? 1 : 0;
-        --sp;
-        break;
-      case Op::kGeF64:
-        stack[sp - 1].i = stack[sp - 1].d >= stack[sp].d ? 1 : 0;
-        --sp;
-        break;
-      case Op::kGtF64:
-        stack[sp - 1].i = stack[sp - 1].d > stack[sp].d ? 1 : 0;
-        --sp;
-        break;
-      case Op::kLtI64:
-        stack[sp - 1].i = stack[sp - 1].i < stack[sp].i ? 1 : 0;
-        --sp;
-        break;
-      case Op::kLeI64:
-        stack[sp - 1].i = stack[sp - 1].i <= stack[sp].i ? 1 : 0;
-        --sp;
-        break;
-      case Op::kEqI64:
-        stack[sp - 1].i = stack[sp - 1].i == stack[sp].i ? 1 : 0;
-        --sp;
-        break;
-      case Op::kNeI64:
-        stack[sp - 1].i = stack[sp - 1].i != stack[sp].i ? 1 : 0;
-        --sp;
-        break;
-      case Op::kGeI64:
-        stack[sp - 1].i = stack[sp - 1].i >= stack[sp].i ? 1 : 0;
-        --sp;
-        break;
-      case Op::kGtI64:
-        stack[sp - 1].i = stack[sp - 1].i > stack[sp].i ? 1 : 0;
-        --sp;
-        break;
-      case Op::kAnd:
-        stack[sp - 1].i =
-            (stack[sp - 1].i != 0 && stack[sp].i != 0) ? 1 : 0;
-        --sp;
-        break;
-      case Op::kOr:
-        stack[sp - 1].i =
-            (stack[sp - 1].i != 0 || stack[sp].i != 0) ? 1 : 0;
-        --sp;
-        break;
-      case Op::kNot:
-        stack[sp].i = stack[sp].i == 0 ? 1 : 0;
-        break;
-    }
-  }
-  if (sp < 0) return LaneVal{0.0};
-  return stack[sp];
-}
-
-}  // namespace
-
-double CompiledExpr::EvalDouble(const uint8_t* left, const uint8_t* right) const {
-  if (program_.empty()) return 0.0;
-  const LaneVal v = EvalScalar(program_, left, right);
-  return result_integral_ ? static_cast<double>(v.i) : v.d;
-}
-
-int64_t CompiledExpr::EvalInt64(const uint8_t* left, const uint8_t* right) const {
-  if (program_.empty()) return 0;
-  const LaneVal v = EvalScalar(program_, left, right);
-  return result_integral_ ? v.i : static_cast<int64_t>(v.d);
-}
-
-bool CompiledExpr::EvalBool(const uint8_t* left, const uint8_t* right) const {
-  if (program_.empty()) return false;
-  const LaneVal v = EvalScalar(program_, left, right);
-  return result_integral_ ? v.i != 0 : v.d != 0.0;
-}
-
-// ---------------------------------------------------------------------------
 // Batch entry points.
 // ---------------------------------------------------------------------------
 

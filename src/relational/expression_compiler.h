@@ -6,13 +6,13 @@
 
 /// \file expression_compiler.h
 /// Lowers an Expression tree into a flat postfix program executed by a small
-/// stack machine. This models SABER's GPGPU code generation (§5.4: operators
-/// are OpenCL templates populated with query-specific functions): the
-/// simulated device executes these programs in tight loops with no virtual
-/// dispatch, and the CPU operators execute them batch-at-a-time with
-/// per-instruction loops (cpu_operators.cc). Boolean connectives are
-/// evaluated arithmetically without short-circuiting, which matches SIMD
-/// predication on real GPGPUs (all lanes evaluate every predicate).
+/// stack machine. This models SABER's code generation (§5.4: operators are
+/// templates populated with query-specific functions): the batch operators
+/// (cpu_operators.cc), which the CPU workers and the simulated GPGPU both
+/// run, execute these programs batch-at-a-time with per-instruction loops
+/// and no per-tuple virtual dispatch. Boolean connectives are evaluated
+/// arithmetically without short-circuiting, which matches SIMD predication
+/// on real GPGPUs (all lanes evaluate every predicate).
 ///
 /// The stack machine is *typed*: every program value lives in either the
 /// int64 lane or the double lane, decided statically at compile time by
@@ -23,7 +23,7 @@
 /// wide identifiers. Conversions between lanes are explicit instructions
 /// (kCastF64 / kTestF64) emitted exactly where the Expression tree itself
 /// widens or tests a value, so compiled results are bit-identical to the
-/// interpreted tree.
+/// interpreted tree (Expression::Eval*, which the reference model runs).
 
 namespace saber {
 
@@ -86,9 +86,9 @@ class CompiledExpr {
   /// amortize instruction dispatch to noise, small enough that one stack
   /// slot's lane (8 KiB) stays L1-resident.
   static constexpr size_t kBatchSize = 1024;
-  /// Stack bound for every program, scalar and batch alike. Batch scratch
-  /// is sized per program (max_stack() slots of kBatchSize values), so the
-  /// worst case is 64 x 1024 x 8 B = 512 KiB per evaluating thread.
+  /// Stack bound for every program. Batch scratch is sized per program
+  /// (max_stack() slots of kBatchSize values), so the worst case is
+  /// 64 x 1024 x 8 B = 512 KiB per evaluating thread.
   /// QueryDef::ValidateLimits rejects deeper expressions at admission;
   /// Compile aborts on them.
   static constexpr size_t kMaxStack = 64;
@@ -105,18 +105,10 @@ class CompiledExpr {
                            const Schema* right_schema = nullptr);
 
   // -------------------------------------------------------------------------
-  // Scalar evaluation over one serialized tuple (pair). Values match the
-  // Expression tree's EvalDouble / EvalInt64 / EvalBool bit for bit.
-  // -------------------------------------------------------------------------
-  double EvalDouble(const uint8_t* left, const uint8_t* right = nullptr) const;
-  int64_t EvalInt64(const uint8_t* left, const uint8_t* right = nullptr) const;
-  bool EvalBool(const uint8_t* left, const uint8_t* right = nullptr) const;
-
-  // -------------------------------------------------------------------------
-  // Batch evaluation (the CPU operator path). All entry points require a
-  // non-empty program; they chunk internally into kBatchSize runs, so `n`
-  // is unbounded. Thread-safe (scratch is thread-local); indices written
-  // to / read from `sel` are relative to `base`.
+  // Batch evaluation. All entry points require a non-empty program; they
+  // chunk internally into kBatchSize runs, so `n` is unbounded. Thread-safe
+  // (scratch is thread-local); indices written to / read from `sel` are
+  // relative to `base`.
   // -------------------------------------------------------------------------
 
   /// Evaluates the predicate over `n` contiguous tuples `stride` bytes

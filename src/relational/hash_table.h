@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstring>
 #include <memory>
 
@@ -11,22 +10,21 @@
 /// \file hash_table.h
 /// Open-addressing, linear-probing GROUP-BY hash table backed by a byte
 /// array (§5.3 "statically allocated pool of hash table objects, which are
-/// backed by byte arrays"; §5.4 GPGPU variant). The CPU and the simulated
-/// GPGPU use the same layout and hash function, which the paper requires so
-/// that a tuple inserted on one processor can be located on the other.
+/// backed by byte arrays"). The CPU workers and the simulated GPGPU run the
+/// same aggregation operator, so a table has one layout and hash function
+/// on both processors, which the paper requires so that a tuple inserted on
+/// one processor can be located on the other (§5.4).
 ///
 /// Slot layout (stride bytes, 8-aligned):
 ///   int32  marker    — -1 if empty, else the index of the first input tuple
-///                      that occupied the slot (§5.4); doubles as the claim
-///                      word for the GPGPU CAS protocol.
+///                      that occupied the slot (§5.4).
 ///   int32  pad
 ///   int64  timestamp — representative (max) timestamp of the group
 ///   uint8  key[key_size]
 ///   AggState aggs[num_aggs]
 ///
-/// The single-threaded Upsert is used by CPU operators (one task = one
-/// thread); UpsertAtomic is used by simulated GPGPU work items that share a
-/// fragment's table.
+/// A table is single-threaded: each task, or each of the device's work
+/// groups, fills its own.
 
 namespace saber {
 
@@ -64,7 +62,7 @@ class GroupHashTable {
     occupied_ = 0;
   }
 
-  /// MurmurHash3 finalizer over the key bytes (identical on CPU and GPGPU).
+  /// MurmurHash3 finalizer over the key bytes.
   uint32_t Hash(const uint8_t* key) const {
     uint64_t h = 0x9E3779B97F4A7C15ULL;
     for (size_t off = 0; off < key_size_; off += 8) {
@@ -113,45 +111,7 @@ class GroupHashTable {
     return nullptr;
   }
 
-  /// Thread-safe variant for simulated GPGPU work items (§5.4): claim the
-  /// marker with compare-and-set, then update aggregates atomically. The
-  /// caller uses AggAddAtomic on the returned state. Timestamp updates take
-  /// the max via CAS.
-  AggState* UpsertAtomic(const uint8_t* key, int32_t tuple_index, int64_t ts) {
-    const uint32_t h = Hash(key);
-    for (size_t probe = 0; probe < capacity_; ++probe) {
-      uint8_t* slot = SlotAt((h + probe) & mask_);
-      std::atomic_ref<int32_t> marker(*reinterpret_cast<int32_t*>(slot));
-      int32_t cur = marker.load(std::memory_order_acquire);
-      if (cur == -1) {
-        int32_t expected = -1;
-        if (marker.compare_exchange_strong(expected, -2,
-                                           std::memory_order_acq_rel)) {
-          // We own initialization of this slot.
-          std::memcpy(slot + 8, &ts, sizeof(ts));
-          std::memcpy(slot + 16, key, key_size_);
-          AggState* aggs = SlotAggs(slot);
-          for (size_t a = 0; a < num_aggs_; ++a) AggInit(&aggs[a]);
-          marker.store(tuple_index, std::memory_order_release);
-          std::atomic_ref<size_t>(occupied_).fetch_add(1, std::memory_order_relaxed);
-          return aggs;
-        }
-        cur = marker.load(std::memory_order_acquire);
-      }
-      while (cur == -2) cur = marker.load(std::memory_order_acquire);  // init in flight
-      if (std::memcmp(slot + 16, key, key_size_) == 0) {
-        std::atomic_ref<int64_t> slot_ts(*reinterpret_cast<int64_t*>(slot + 8));
-        int64_t prev = slot_ts.load(std::memory_order_relaxed);
-        while (ts > prev && !slot_ts.compare_exchange_weak(
-                                prev, ts, std::memory_order_relaxed)) {
-        }
-        return SlotAggs(slot);
-      }
-    }
-    return nullptr;
-  }
-
-  /// Grows the table 2x and rehashes (single-threaded CPU path only).
+  /// Grows the table 2x and rehashes.
   void Grow() {
     GroupHashTable bigger(key_size_, num_aggs_, capacity_ * 2);
     bigger.key_size_ = key_size_;  // keep exact (already aligned)

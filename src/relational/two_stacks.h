@@ -9,10 +9,11 @@
 /// \file two_stacks.h
 /// Two-stacks sliding-window aggregation in the style of general incremental
 /// sliding-window aggregation [50] (Tangwongsan et al., PVLDB 2015). SABER's
-/// assembly stage slides windows over *pane partials*; for invertible
-/// functions (sum/count/avg) it subtracts expiring panes
-/// (fragment_assembly.cc), but min/max admit no subtraction. This structure
-/// restores amortized O(1) merges per pane for any associative aggregate:
+/// assembly stage slides windows over *pane partials* (fragment_assembly.cc).
+/// Subtracting expiring panes works only for invertible functions, and even
+/// for a float sum it drifts once a large value has passed through the
+/// window. This structure gives amortized O(1) merges per pane for any
+/// associative aggregate without ever subtracting:
 ///
 ///   - new pane partials are pushed onto a *back* stack that maintains a
 ///     running prefix aggregate;

@@ -137,9 +137,9 @@ TEST(EngineSemantics, RestartableEngineObjects) {
   }
 }
 
-// Non-invertible (min/max) sliding aggregation goes through the two-stacks
-// assembly path ([50]); its output must match the reference model and the
-// forced re-merge path bit-for-bit.
+// Ungrouped sliding aggregation goes through the two-stacks assembly path
+// ([50]); for min/max, which admit no subtraction, its output must match the
+// reference model and the forced re-merge path bit-for-bit.
 struct NonInvertibleCase {
   AggregateFunction fn;
   WindowDefinition window;
@@ -183,8 +183,8 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(EngineSemantics, MixedInvertibleAndNotUsesTwoStacks) {
-  // avg (invertible) + max (not): the mix disables the subtract path, so the
-  // whole pane row rides the two-stacks structure.
+  // avg (invertible) + max/min (not): the whole pane row rides the
+  // two-stacks structure.
   Schema s = syn::SyntheticSchema();
   QueryDef q = QueryBuilder("mix", s)
                    .Window(WindowDefinition::Count(300, 60))

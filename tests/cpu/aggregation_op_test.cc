@@ -5,6 +5,7 @@
 
 #include "reference/reference.h"
 #include "test_util.h"
+#include "workloads/synthetic.h"
 
 namespace saber {
 namespace {
@@ -82,6 +83,40 @@ TEST(AggregationOp, MinMaxUsesMergePath) {
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*op, q, stream, 10);
   EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()));
+}
+
+TEST(AggregationOp, SpikeLeavesNoResidueInLaterWindows) {
+  // a1 = 1.0 everywhere except 1e17 at tuple 1000. A sliding sum that
+  // subtracts expiring panes keeps a rounding residue of the spike in every
+  // later window; every window that excludes the spike must instead equal
+  // the reference byte for byte. Windows holding the spike may differ: the
+  // float sum depends on association order.
+  constexpr size_t kTuples = 5000;
+  constexpr size_t kSpike = 1000;
+  constexpr int64_t kSize = 64;
+  Schema s = syn::SyntheticSchema();
+  auto stream = syn::Generate(kTuples, {.tuples_per_ts = 1});
+  const size_t a1 = s.field(s.FieldIndex("a1")).offset;
+  for (size_t i = 0; i < kTuples; ++i) {
+    const float v = i == kSpike ? 1e17f : 1.0f;
+    std::memcpy(stream.data() + i * s.tuple_size() + a1, &v, sizeof(v));
+  }
+  for (WindowDefinition w : {WindowDefinition::Count(kSize, 1),
+                             WindowDefinition::Time(kSize, 1)}) {
+    QueryDef q = syn::MakeAggregation(AggregateFunction::kSum, w);
+    auto op = MakeCpuOperator(&q);
+    ByteBuffer want = ReferenceEvaluate(q, stream);
+    ByteBuffer got = RunSingleInput(*op, q, stream, 700);
+    ASSERT_EQ(got.size(), want.size()) << w.ToString();
+    // One tuple per timestamp, slide 1: row j is the window over tuples
+    // [j, j + kSize) on either axis.
+    const size_t row = q.output_schema.tuple_size();
+    for (size_t j = 0; j * row < got.size(); ++j) {
+      if (j + kSize > kSpike && j <= kSpike) continue;
+      EXPECT_EQ(std::memcmp(got.data() + j * row, want.data() + j * row, row), 0)
+          << w.ToString() << " window " << j;
+    }
+  }
 }
 
 TEST(AggregationOp, WhereFilterInsideWindows) {

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
+#include <random>
 #include <type_traits>
 
 #include "cpu/cpu_operators.h"
@@ -15,6 +17,7 @@ namespace saber {
 namespace {
 
 using testing::BuffersEqual;
+using testing::MakeTestGpuOperator;
 using testing::RandomStream;
 using testing::RunJoin;
 using testing::RunSingleInput;
@@ -41,7 +44,7 @@ TEST_F(GpuOperatorTest, SelectionMatchesReference) {
   QueryDef q = QueryBuilder("gsel", s)
                    .Where(And({Gt(Col(s, "k"), Lit(2)), Lt(Col(s, "k2"), Lit(8))}))
                    .Build();
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 5000, 31);
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*op, q, stream, 700);
@@ -59,7 +62,7 @@ TEST_F(GpuOperatorTest, ProjectionMatchesCpuByteForByte) {
         .Build();
   };
   QueryDef q = make_query();
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto cpu = MakeCpuOperator(&q);
   auto stream = RandomStream(s, 3000, 32);
   ByteBuffer g = RunSingleInput(*gpu, q, stream, 1024);
@@ -70,7 +73,7 @@ TEST_F(GpuOperatorTest, ProjectionMatchesCpuByteForByte) {
 TEST_F(GpuOperatorTest, IdentityProjectionForwardsBytes) {
   Schema s = SynSchema();
   QueryDef q = QueryBuilder("gid", s).Build();
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 2000, 33);
   ByteBuffer got = RunSingleInput(*op, q, stream, 512);
   ASSERT_EQ(got.size(), stream.size());
@@ -84,7 +87,7 @@ TEST_F(GpuOperatorTest, UngroupedAggregationMatchesReference) {
                    .Aggregate(AggregateFunction::kSum, Col(s, "v"), "sv")
                    .Aggregate(AggregateFunction::kMax, Col(s, "v"), "mx")
                    .Build();
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 4000, 34);
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*op, q, stream, 333);
@@ -98,7 +101,7 @@ TEST_F(GpuOperatorTest, TimeWindowAggregationMatchesReference) {
                    .Where(Gt(Col(s, "k"), Lit(1)))
                    .Aggregate(AggregateFunction::kAvg, Col(s, "v"), "av")
                    .Build();
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 3000, 35, /*max_ts_gap=*/3);
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*op, q, stream, 211);
@@ -113,7 +116,7 @@ TEST_F(GpuOperatorTest, GroupByMatchesReferenceAndCpu) {
                    .Aggregate(AggregateFunction::kSum, Col(s, "v"), "sv")
                    .Aggregate(AggregateFunction::kCount, nullptr, "n")
                    .Build();
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto cpu = MakeCpuOperator(&q);
   auto stream = RandomStream(s, 3000, 36, 2, 5);
   ByteBuffer want = ReferenceEvaluate(q, stream);
@@ -131,7 +134,7 @@ TEST_F(GpuOperatorTest, GroupByWithHaving) {
                    .Aggregate(AggregateFunction::kCount, nullptr, "n")
                    .Build();
   q.having = Gt(Col(q.output_schema, "n"), Lit(3.0));
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 2000, 37, 2, 4);
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*op, q, stream, 400);
@@ -149,7 +152,7 @@ TEST_F(GpuOperatorTest, JoinMatchesReference) {
   b.JoinSelect(Col(l, "lv"), "lv");
   b.JoinSelect(Col(r, "rv", Side::kRight), "rv");
   QueryDef q = b.Build();
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto s0 = RandomStream(l, 300, 38, 2, 4);
   auto s1 = RandomStream(r, 300, 39, 2, 4);
   ByteBuffer want = ReferenceEvaluate(q, s0, s1);
@@ -166,13 +169,188 @@ TEST_F(GpuOperatorTest, JoinIdenticalToCpuJoin) {
   b.JoinOn(And({Eq(Col(l, "key"), Col(r, "key", Side::kRight)),
                 Lt(Col(l, "lv"), Col(r, "rv", Side::kRight))}));
   QueryDef q = b.Build();
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto cpu = MakeCpuOperator(&q);
   auto s0 = RandomStream(l, 400, 40, 1, 4);
   auto s1 = RandomStream(r, 400, 41, 1, 4);
   ByteBuffer g = RunJoin(*gpu, q, s0, s1, 9);
   ByteBuffer c = RunJoin(*cpu, q, s0, s1, 9);
   EXPECT_TRUE(BuffersEqual(g, c, q.output_schema.tuple_size()));
+}
+
+// ---------------------------------------------------------------------------
+// Work groups: the device runs a task as several ProcessBatch calls, split
+// where WorkGroupCuts allows, and concatenates their results.
+// ---------------------------------------------------------------------------
+
+/// The first `n` tuples of `stream` as one stream batch starting at global
+/// index `first_index`.
+StreamBatch BatchOf(const std::vector<uint8_t>& stream, const Schema& s,
+                    size_t n, int64_t first_index) {
+  StreamBatch b;
+  b.data = SpanPair{stream.data(), n * s.tuple_size(), nullptr, 0};
+  b.tuple_size = s.tuple_size();
+  b.first_index = first_index;
+  return b;
+}
+
+int64_t TsAt(const StreamBatch& b, size_t i) {
+  int64_t ts;
+  std::memcpy(&ts, b.tuple(i), sizeof(ts));
+  return ts;
+}
+
+QueryDef SumCountQuery(const char* name, WindowDefinition w, bool grouped) {
+  Schema s = SynSchema();
+  QueryBuilder b(name, s);
+  b.Window(w);
+  if (grouped) b.GroupBy({Col(s, "k")});
+  b.Aggregate(AggregateFunction::kSum, Col(s, "v"), "sv");
+  b.Aggregate(AggregateFunction::kCount, nullptr, "n");
+  return b.Build();
+}
+
+TEST(WorkGroupCuts, CutOnlyWhereTheOutputIsAdditive) {
+  Schema s = SynSchema();
+  constexpr size_t kTuples = 65536;
+  constexpr size_t kGroups = 4;
+  auto stream = RandomStream(s, kTuples, 51, /*max_ts_gap=*/4);
+  // Count panes of 48 tuples do not start at the batch's first tuple.
+  const StreamBatch b = BatchOf(stream, s, kTuples, /*first_index=*/1000);
+
+  auto cuts_of = [&](const QueryDef& q) {
+    std::vector<size_t> cuts = WorkGroupCuts(q, b, kGroups);
+    EXPECT_GE(cuts.size(), 2u) << q.name;
+    if (cuts.size() < 2) return std::vector<size_t>{};
+    EXPECT_EQ(cuts.front(), 0u) << q.name;
+    EXPECT_EQ(cuts.back(), kTuples) << q.name;
+    EXPECT_LE(cuts.size(), kGroups + 1) << q.name;
+    for (size_t k = 1; k < cuts.size(); ++k) {
+      EXPECT_GE(cuts[k] - cuts[k - 1], kMinWorkGroupTuples) << q.name;
+    }
+    return std::vector<size_t>(cuts.begin() + 1, cuts.end() - 1);  // interior
+  };
+
+  QueryDef proj = QueryBuilder("cut_proj", s).Where(Gt(Col(s, "k"), Lit(2))).Build();
+  EXPECT_EQ(cuts_of(proj).size(), kGroups - 1);
+
+  for (bool grouped : {false, true}) {
+    std::vector<size_t> cuts =
+        cuts_of(SumCountQuery("cut_cnt", WindowDefinition::Count(96, 48), grouped));
+    EXPECT_FALSE(cuts.empty());
+    for (size_t c : cuts) EXPECT_EQ((1000 + c) % 48, 0u) << c;
+
+    cuts = cuts_of(SumCountQuery("cut_time", WindowDefinition::Time(40, 10), grouped));
+    EXPECT_FALSE(cuts.empty());
+    for (size_t c : cuts) EXPECT_NE(TsAt(b, c - 1) / 10, TsAt(b, c) / 10) << c;
+
+    cuts = cuts_of(SumCountQuery("cut_session", WindowDefinition::Session(3), grouped));
+    EXPECT_FALSE(cuts.empty());
+    for (size_t c : cuts) {
+      EXPECT_FALSE(SessionExtends(TsAt(b, c - 1), TsAt(b, c), 3)) << c;
+    }
+  }
+
+  QueryBuilder jb("cut_join", s, s);
+  jb.Window(WindowDefinition::Count(16, 8));
+  jb.JoinOn(Eq(Col(s, "k"), Col(s, "k", Side::kRight)));
+  QueryDef join = jb.Build();
+  EXPECT_TRUE(cuts_of(join).empty());
+  QueryDef udf = QueryBuilder("cut_udf", s)
+                     .Window(WindowDefinition::Time(24, 6))
+                     .Udf(std::make_shared<MedianUdf>(Col(s, "v")))
+                     .Build();
+  EXPECT_TRUE(cuts_of(udf).empty());
+
+  // A batch under two minimum-size groups stays one group.
+  StreamBatch small = b;
+  small.data.len1 = (2 * kMinWorkGroupTuples - 1) * s.tuple_size();
+  EXPECT_EQ(WorkGroupCuts(proj, small, kGroups),
+            (std::vector<size_t>{0, 2 * kMinWorkGroupTuples - 1}));
+}
+
+/// Queries whose device tasks split into several work groups: a filtered
+/// projection, and sum/count over count, time and session windows, each
+/// grouped and ungrouped.
+std::vector<QueryDef> SplitQueries() {
+  Schema s = SynSchema();
+  std::vector<QueryDef> qs;
+  qs.push_back(QueryBuilder("split_proj", s)
+                   .Where(Gt(Col(s, "k"), Lit(0)))
+                   .Select(Col(s, "timestamp"), "timestamp")
+                   .Select(Mul(Col(s, "v"), Lit(3.0)), "v3")
+                   .Build());
+  for (bool grouped : {false, true}) {
+    qs.push_back(
+        SumCountQuery("split_cnt", WindowDefinition::Count(1024, 256), grouped));
+    qs.push_back(
+        SumCountQuery("split_time", WindowDefinition::Time(256, 64), grouped));
+    qs.push_back(
+        SumCountQuery("split_session", WindowDefinition::Session(3), grouped));
+  }
+  return qs;
+}
+
+constexpr size_t kSplitTuples = 40000;
+constexpr size_t kSplitBatch = 20000;  // ~5000 tuples per group
+
+/// The work-group tests' stream. Timestamps advance by 0 or 1 and jump by
+/// 10 (an inactivity gap for Session(3)) about every 50 tuples, and k takes
+/// 2 values, so every pane, session and group within them holds tens of
+/// tuples. With `non_integral`, v holds floats whose magnitudes span 2^60:
+/// a double sum over them then depends on how the values are associated,
+/// so a cut inside a pane or session (two partials merged at assembly)
+/// would change the output bytes.
+std::vector<uint8_t> SplitStream(uint32_t seed, bool non_integral) {
+  Schema s = SynSchema();
+  auto stream = RandomStream(s, kSplitTuples, seed, /*max_ts_gap=*/0,
+                             /*attr_range=*/2);
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> step(0, 99);
+  std::uniform_real_distribution<float> mantissa(-1.0f, 1.0f);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  const size_t v_offset = s.field(s.FieldIndex("v")).offset;
+  int64_t ts = 0;
+  for (size_t off = 0; off < stream.size(); off += s.tuple_size()) {
+    const int r = step(rng);
+    ts += r < 2 ? 10 : r % 2;
+    std::memcpy(stream.data() + off, &ts, sizeof(ts));
+    if (non_integral) {
+      const float v = std::ldexp(mantissa(rng), exponent(rng));
+      std::memcpy(stream.data() + off + v_offset, &v, sizeof(v));
+    }
+  }
+  return stream;
+}
+
+TEST_F(GpuOperatorTest, WorkGroupsMatchCpuOnNonIntegralFloats) {
+  Schema s = SynSchema();
+  auto stream = SplitStream(61, /*non_integral=*/true);
+  const size_t groups = static_cast<size_t>(device_->options().num_executors);
+  for (const QueryDef& q : SplitQueries()) {
+    ASSERT_GT(
+        WorkGroupCuts(q, BatchOf(stream, s, kSplitBatch, 0), groups).size(),
+        3u)
+        << q.name;
+    auto gpu = MakeTestGpuOperator(&q, device_.get());
+    auto cpu = MakeCpuOperator(&q);
+    ByteBuffer g = RunSingleInput(*gpu, q, stream, kSplitBatch);
+    ByteBuffer c = RunSingleInput(*cpu, q, stream, kSplitBatch);
+    EXPECT_GT(g.size(), 0u) << q.name;
+    EXPECT_TRUE(BuffersEqual(g, c, q.output_schema.tuple_size())) << q.name;
+  }
+}
+
+TEST_F(GpuOperatorTest, WorkGroupsMatchReferenceOnIntegralValues) {
+  auto stream = SplitStream(63, /*non_integral=*/false);
+  for (const QueryDef& q : SplitQueries()) {
+    auto gpu = MakeTestGpuOperator(&q, device_.get());
+    ByteBuffer want = ReferenceEvaluate(q, stream);
+    ByteBuffer got = RunSingleInput(*gpu, q, stream, kSplitBatch);
+    EXPECT_GT(got.size(), 0u) << q.name;
+    EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
+        << q.name;
+  }
 }
 
 // Property sweep mirroring the CPU one: the GPGPU back end must agree with
@@ -207,7 +385,7 @@ TEST_P(GpuAggregationPropertyTest, MatchesReference) {
   b.Aggregate(AggregateFunction::kSum, Col(s, "v"));
   b.Aggregate(AggregateFunction::kCount, nullptr);
   QueryDef q = b.Build();
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 600, static_cast<uint32_t>(c.size * 7 + c.slide));
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*op, q, stream, c.batch);
@@ -237,7 +415,7 @@ TEST_F(GpuOperatorTest, UdfCollectionMatchesCpuSingleInput) {
                    .Window(WindowDefinition::Time(24, 6))
                    .Udf(std::make_shared<MedianUdf>(Col(s, "v")))
                    .Build();
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto cpu = MakeCpuOperator(&q);
   auto stream = RandomStream(s, 4000, 91);
   ByteBuffer g = RunSingleInput(*gpu, q, stream, 333);
@@ -250,7 +428,7 @@ TEST_F(GpuOperatorTest, UdfCollectionMatchesCpuTwoInput) {
   Schema s = SynSchema();
   QueryDef q = MakePartitionJoinQuery("gpj", s, s, WindowDefinition::Time(8, 8),
                                       Col(s, "k"), Col(s, "k"));
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto cpu = MakeCpuOperator(&q);
   auto l = RandomStream(s, 2500, 92);
   auto r = RandomStream(s, 2500, 93);
@@ -266,7 +444,7 @@ TEST_F(GpuOperatorTest, UdfCollectionCountBasedWindows) {
                    .Window(WindowDefinition::Count(128, 32))
                    .Udf(std::make_shared<MedianUdf>(Col(s, "v")))
                    .Build();
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 3000, 94);
   ByteBuffer want = ReferenceEvaluate(q, stream);
   ByteBuffer got = RunSingleInput(*gpu, q, stream, 500);
@@ -280,7 +458,7 @@ TEST_F(GpuOperatorTest, DeviceStatsAccumulateAcrossUdfJobs) {
                    .Window(WindowDefinition::Count(64, 64))
                    .Udf(std::make_shared<MedianUdf>(Col(s, "v")))
                    .Build();
-  auto gpu = MakeGpuOperator(&q, device_.get());
+  auto gpu = MakeTestGpuOperator(&q, device_.get());
   auto stream = RandomStream(s, 2000, 95);
   RunSingleInput(*gpu, q, stream, 250);  // 8 batches
   EXPECT_EQ(device_->stats().jobs.load(), 8);

@@ -77,7 +77,6 @@ TEST(SimDevice, CopyinLinearizesWrappedSpans) {
   GpuJob* job = dev.AcquireJob();
   job->num_spans = 1;
   job->host_input[0] = SpanPair{a.data(), a.size(), b.data(), b.size()};
-  job->input_bytes[0] = 6;
   TaskResult r;
   job->result = &r;
   std::latch done(1);
@@ -106,7 +105,6 @@ TEST(SimDevice, TransferPacingEnforcesPcieModel) {
   GpuJob* job = dev.AcquireJob();
   job->num_spans = 1;
   job->host_input[0] = SpanPair{data.data(), data.size(), nullptr, 0};
-  job->input_bytes[0] = bytes;
   TaskResult r;
   job->result = &r;
   std::latch done(1);
@@ -154,7 +152,6 @@ TEST(SimDevice, PipelineOverlapsStages) {
       GpuJob* job = dev.AcquireJob();  // blocks at pipeline_depth in flight
       job->num_spans = 1;
       job->host_input[0] = SpanPair{data.data(), data.size(), nullptr, 0};
-      job->input_bytes[0] = bytes;
       job->result = &results[i];
       job->kernel = [](SimDevice&, GpuJob&) {};
       job->on_complete = [&](GpuJob* j) {
@@ -183,7 +180,6 @@ TEST(SimDevice, StatsAreRecorded) {
   GpuJob* job = dev.AcquireJob();
   job->num_spans = 1;
   job->host_input[0] = SpanPair{data.data(), data.size(), nullptr, 0};
-  job->input_bytes[0] = data.size();
   TaskResult r;
   job->result = &r;
   std::latch done(1);

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-#include <vector>
-
 namespace saber {
 namespace {
 
@@ -67,41 +64,6 @@ TEST(Aggregate, InvertibilityFlags) {
   EXPECT_TRUE(Invertible(AggregateFunction::kAvg));
   EXPECT_FALSE(Invertible(AggregateFunction::kMin));
   EXPECT_FALSE(Invertible(AggregateFunction::kMax));
-}
-
-TEST(AtomicAgg, ConcurrentAddsAreLossless) {
-  AggState s;
-  AggInit(&s);
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 20000;
-  std::vector<std::thread> ts;
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&s] {
-      for (int i = 0; i < kPerThread; ++i) AggAddAtomic(&s, 1.0);
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_DOUBLE_EQ(s.sum, kThreads * kPerThread);
-  EXPECT_EQ(s.count, kThreads * kPerThread);
-  EXPECT_DOUBLE_EQ(s.min_v, 1.0);
-  EXPECT_DOUBLE_EQ(s.max_v, 1.0);
-}
-
-TEST(AtomicAgg, MinMaxUnderContention) {
-  AggState s;
-  AggInit(&s);
-  std::vector<std::thread> ts;
-  for (int t = 0; t < 8; ++t) {
-    ts.emplace_back([&s, t] {
-      for (int i = 0; i < 5000; ++i) {
-        AggAddAtomic(&s, static_cast<double>(t * 5000 + i));
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_DOUBLE_EQ(s.min_v, 0.0);
-  EXPECT_DOUBLE_EQ(s.max_v, 39999.0);
-  EXPECT_EQ(s.count, 40000);
 }
 
 }  // namespace

@@ -7,6 +7,27 @@
 namespace saber {
 namespace {
 
+// One-tuple (pair) evaluation through the batch entry points.
+double EvalDouble(const CompiledExpr& c, const uint8_t* row) {
+  double v = 0;
+  c.EvalBatchDouble(row, 0, nullptr, 1, &v);
+  return v;
+}
+int64_t EvalInt64(const CompiledExpr& c, const uint8_t* row) {
+  int64_t v = 0;
+  c.EvalBatchInt64(row, 0, nullptr, 1, &v);
+  return v;
+}
+bool EvalBool(const CompiledExpr& c, const uint8_t* row) {
+  uint32_t sel = 0;
+  return c.EvalBatchBool(row, 0, 1, &sel) == 1;
+}
+bool EvalBool(const CompiledExpr& c, const uint8_t* left,
+              const uint8_t* right) {
+  uint32_t sel = 0;
+  return c.EvalBatchBoolPairs(nullptr, left, nullptr, right, 1, &sel) == 1;
+}
+
 class CompilerTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -27,20 +48,20 @@ class CompilerTest : public ::testing::Test {
 TEST_F(CompilerTest, MatchesInterpreterOnArithmetic) {
   auto e = Add(Mul(Col(schema_, "a"), Lit(3)), Div(Col(schema_, "f"), Lit(2.0)));
   CompiledExpr c = CompiledExpr::Compile(*e, schema_);
-  EXPECT_DOUBLE_EQ(c.EvalDouble(row_.data()), e->EvalDouble(t_, nullptr));
+  EXPECT_DOUBLE_EQ(EvalDouble(c, row_.data()), e->EvalDouble(t_, nullptr));
 }
 
 TEST_F(CompilerTest, MatchesInterpreterOnPredicates) {
   auto e = And({Gt(Col(schema_, "a"), Lit(5)),
                 Or({Lt(Col(schema_, "b"), Lit(3)), Ge(Col(schema_, "f"), Lit(2.0))})});
   CompiledExpr c = CompiledExpr::Compile(*e, schema_);
-  EXPECT_EQ(c.EvalBool(row_.data()), e->EvalBool(t_, nullptr));
+  EXPECT_EQ(EvalBool(c, row_.data()), e->EvalBool(t_, nullptr));
 }
 
 TEST_F(CompilerTest, NotAndMod) {
   auto e = Not(Eq(Mod(Col(schema_, "a"), Lit(4)), Lit(0)));
   CompiledExpr c = CompiledExpr::Compile(*e, schema_);
-  EXPECT_EQ(c.EvalBool(row_.data()), e->EvalBool(t_, nullptr));
+  EXPECT_EQ(EvalBool(c, row_.data()), e->EvalBool(t_, nullptr));
 }
 
 TEST_F(CompilerTest, TwoSidedPredicate) {
@@ -50,7 +71,7 @@ TEST_F(CompilerTest, TwoSidedPredicate) {
   w.SetInt64(0, 99).SetInt32(1, 6);
   auto pred = Eq(Col(schema_, "a"), Col(right, "x", Side::kRight));
   CompiledExpr c = CompiledExpr::Compile(*pred, schema_, &right);
-  EXPECT_TRUE(c.EvalBool(row_.data(), rrow.data()));
+  EXPECT_TRUE(EvalBool(c, row_.data(), rrow.data()));
 }
 
 TEST_F(CompilerTest, StackDepthTracking) {
@@ -59,12 +80,12 @@ TEST_F(CompilerTest, StackDepthTracking) {
   for (int i = 0; i < 30; ++i) e = Add(Lit(1), e);
   CompiledExpr c = CompiledExpr::Compile(*e, schema_);
   EXPECT_LE(c.max_stack(), 32u);
-  EXPECT_DOUBLE_EQ(c.EvalDouble(row_.data()), 31.0);
+  EXPECT_DOUBLE_EQ(EvalDouble(c, row_.data()), 31.0);
 }
 
 TEST_F(CompilerTest, DeepProgramsBatchMatchScalar) {
   // The batch scratch is sized per program, so every depth Compile accepts
-  // evaluates batch-at-a-time, identically to the scalar interpreter.
+  // evaluates batch-at-a-time, identically to the Expression tree.
   std::mt19937 rng(31);
   std::uniform_int_distribution<int> val(-9, 9);
   const size_t n = 1500;  // crosses an internal batch boundary
@@ -97,10 +118,12 @@ TEST_F(CompilerTest, DeepProgramsBatchMatchScalar) {
     const size_t cnt = c.EvalBatchBool(data.data(), tsz, n, sel.data());
     size_t expect = 0;
     for (size_t i = 0; i < n; ++i) {
-      const uint8_t* row = data.data() + i * tsz;
-      ASSERT_EQ(d[i], c.EvalDouble(row)) << "depth " << depth << " i=" << i;
-      ASSERT_EQ(i64[i], c.EvalInt64(row)) << "depth " << depth << " i=" << i;
-      if (c.EvalBool(row)) {
+      const TupleRef row(data.data() + i * tsz, &schema_);
+      ASSERT_EQ(d[i], e->EvalDouble(row, nullptr))
+          << "depth " << depth << " i=" << i;
+      ASSERT_EQ(i64[i], e->EvalInt64(row, nullptr))
+          << "depth " << depth << " i=" << i;
+      if (e->EvalBool(row, nullptr)) {
         ASSERT_LT(expect, cnt);
         ASSERT_EQ(sel[expect++], i) << "depth " << depth;
       }
@@ -127,29 +150,29 @@ TEST_F(CompilerTest, Int64KeysBeyondTwoPow53StayExact) {
   // big == 2^53 compares false exactly; through double both are 2^53.
   auto eq = Eq(Col(s, "id"), Lit(int64_t{1} << 53));
   CompiledExpr ceq = CompiledExpr::Compile(*eq, s);
-  EXPECT_FALSE(ceq.EvalBool(row.data()));
-  EXPECT_EQ(ceq.EvalBool(row.data()), eq->EvalBool(t, nullptr));
+  EXPECT_FALSE(EvalBool(ceq, row.data()));
+  EXPECT_EQ(EvalBool(ceq, row.data()), eq->EvalBool(t, nullptr));
 
   auto gt = Gt(Col(s, "id"), Lit(int64_t{1} << 53));
-  EXPECT_TRUE(CompiledExpr::Compile(*gt, s).EvalBool(row.data()));
+  EXPECT_TRUE(EvalBool(CompiledExpr::Compile(*gt, s), row.data()));
 
   // (big % 2) == 1; through double the +1 is rounded away and the result
   // would be 0.
   auto mod = Mod(Col(s, "id"), Lit(int64_t{2}));
   CompiledExpr cmod = CompiledExpr::Compile(*mod, s);
   EXPECT_TRUE(cmod.integral_result());
-  EXPECT_EQ(cmod.EvalInt64(row.data()), 1);
-  EXPECT_EQ(cmod.EvalInt64(row.data()), mod->EvalInt64(t, nullptr));
+  EXPECT_EQ(EvalInt64(cmod, row.data()), 1);
+  EXPECT_EQ(EvalInt64(cmod, row.data()), mod->EvalInt64(t, nullptr));
 
   // Exact arithmetic survives composition: (id - 1) stays on the int lane.
   auto sub = Sub(Col(s, "id"), Lit(int64_t{1}));
-  EXPECT_EQ(CompiledExpr::Compile(*sub, s).EvalInt64(row.data()),
+  EXPECT_EQ(EvalInt64(CompiledExpr::Compile(*sub, s), row.data()),
             int64_t{1} << 53);
 }
 
 TEST_F(CompilerTest, BatchEvaluatorsMatchScalar) {
-  // Dense, gathered and pair-broadcast batch evaluation must agree with the
-  // scalar interpreter (and therefore with the Expression tree) bit for bit.
+  // Dense and gathered batch evaluation must agree with the Expression tree
+  // bit for bit.
   std::mt19937 rng(7);
   std::uniform_int_distribution<int> val(-40, 40);
   const size_t n = 2500;  // > 2 internal batches
@@ -180,16 +203,18 @@ TEST_F(CompilerTest, BatchEvaluatorsMatchScalar) {
     c.EvalBatchDouble(data.data(), tsz, nullptr, n, d.data());
     c.EvalBatchInt64(data.data(), tsz, nullptr, n, i64.data());
     for (size_t i = 0; i < n; ++i) {
-      const uint8_t* row = data.data() + i * tsz;
-      ASSERT_EQ(d[i], c.EvalDouble(row)) << e->ToString() << " i=" << i;
-      ASSERT_EQ(i64[i], c.EvalInt64(row)) << e->ToString() << " i=" << i;
+      const TupleRef row(data.data() + i * tsz, &schema_);
+      ASSERT_EQ(d[i], e->EvalDouble(row, nullptr))
+          << e->ToString() << " i=" << i;
+      ASSERT_EQ(i64[i], e->EvalInt64(row, nullptr))
+          << e->ToString() << " i=" << i;
     }
 
     // Selection vector.
     const size_t cnt = c.EvalBatchBool(data.data(), tsz, n, sel.data());
     size_t expect = 0;
     for (size_t i = 0; i < n; ++i) {
-      if (c.EvalBool(data.data() + i * tsz)) {
+      if (e->EvalBool(TupleRef(data.data() + i * tsz, &schema_), nullptr)) {
         ASSERT_LT(expect, cnt);
         ASSERT_EQ(sel[expect], i) << e->ToString();
         ++expect;
@@ -201,7 +226,8 @@ TEST_F(CompilerTest, BatchEvaluatorsMatchScalar) {
     if (cnt > 0) {
       c.EvalBatchDouble(data.data(), tsz, sel.data(), cnt, d.data());
       for (size_t j = 0; j < cnt; ++j) {
-        ASSERT_EQ(d[j], c.EvalDouble(data.data() + sel[j] * tsz));
+        const TupleRef row(data.data() + sel[j] * tsz, &schema_);
+        ASSERT_EQ(d[j], e->EvalDouble(row, nullptr));
       }
     }
   }
@@ -230,7 +256,8 @@ TEST_F(CompilerTest, BatchPairEvaluatorsMatchScalar) {
                                           nullptr, n, sel.data());
   size_t expect = 0;
   for (size_t i = 0; i < n; ++i) {
-    if (c.EvalBool(row_.data(), rptrs[i])) {
+    const TupleRef r(rptrs[i], &right);
+    if (pred->EvalBool(t_, &r)) {
       ASSERT_LT(expect, cnt);
       ASSERT_EQ(sel[expect], i);
       ++expect;
@@ -244,7 +271,8 @@ TEST_F(CompilerTest, BatchPairEvaluatorsMatchScalar) {
   csum.EvalBatchInt64Pairs(nullptr, row_.data(), rptrs.data(), nullptr, n,
                            i64.data());
   for (size_t i = 0; i < n; ++i) {
-    ASSERT_EQ(i64[i], csum.EvalInt64(row_.data(), rptrs[i]));
+    const TupleRef r(rptrs[i], &right);
+    ASSERT_EQ(i64[i], sum->EvalInt64(t_, &r));
   }
 }
 
@@ -283,7 +311,7 @@ TEST_F(CompilerTest, RandomizedEquivalenceWithInterpreter) {
     w.SetFloat(3, static_cast<float>(val(rng)));
     TupleRef t(row.data(), &schema_);
     const double interp = e->EvalDouble(t, nullptr);
-    const double compiled = c.EvalDouble(row.data());
+    const double compiled = EvalDouble(c, row.data());
     EXPECT_DOUBLE_EQ(compiled, interp) << "iter=" << iter << " expr=" << e->ToString();
   }
 }

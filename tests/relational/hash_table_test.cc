@@ -4,7 +4,6 @@
 
 #include <cstring>
 #include <map>
-#include <thread>
 
 namespace saber {
 namespace {
@@ -96,35 +95,6 @@ TEST(GroupHashTable, CompositeKeys) {
   PackKey(key + 8, 3);  // different second component => different group
   t.Upsert(key, 1, 0);
   EXPECT_EQ(t.size(), 2u);
-}
-
-TEST(GroupHashTable, AtomicUpsertMatchesSequential) {
-  // Same hash function, same layout: the thread-safe GPGPU path must build
-  // the same table contents as the CPU path (§5.4).
-  constexpr int kThreads = 8;
-  constexpr int kKeys = 64;
-  constexpr int kPerThread = 10000;
-  GroupHashTable t(8, 1, 4 * kKeys);
-  std::vector<std::thread> threads;
-  for (int th = 0; th < kThreads; ++th) {
-    threads.emplace_back([&t, th] {
-      uint8_t key[8];
-      for (int i = 0; i < kPerThread; ++i) {
-        const int64_t k = (th * kPerThread + i) % kKeys;
-        PackKey(key, k);
-        AggState* s = t.UpsertAtomic(key, i, k);
-        ASSERT_NE(s, nullptr);
-        AggAddAtomic(s, 1.0);
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(t.size(), static_cast<size_t>(kKeys));
-  double total = 0;
-  t.ForEachOccupied([&](const uint8_t*, int64_t, const AggState* aggs) {
-    total += aggs[0].sum;
-  });
-  EXPECT_DOUBLE_EQ(total, kThreads * kPerThread);
 }
 
 TEST(GroupHashTable, FullTableReturnsNull) {

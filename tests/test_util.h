@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "core/operator.h"
 #include "core/query.h"
 #include "cpu/cpu_operators.h"
+#include "gpu/gpu_operators.h"
 #include "relational/tuple_ref.h"
 #include "runtime/byte_buffer.h"
 
@@ -63,6 +65,23 @@ inline std::vector<uint8_t> RandomStream(const Schema& schema, size_t n,
     }
   }
   return out;
+}
+
+/// A GpuOperator together with the CPU batch operator it borrows (the
+/// engine keeps both in its per-query state). Dereferences to the
+/// GpuOperator.
+struct TestGpuOperator {
+  std::unique_ptr<Operator> batch_op;
+  std::unique_ptr<GpuOperator> op;
+  const GpuOperator& operator*() const { return *op; }
+};
+
+inline TestGpuOperator MakeTestGpuOperator(const QueryDef* q,
+                                           SimDevice* device) {
+  TestGpuOperator t;
+  t.batch_op = MakeCpuOperator(q);
+  t.op = std::make_unique<GpuOperator>(*t.batch_op, device);
+  return t;
 }
 
 /// Splits a single-input stream into batches of `batch_tuples` and runs the

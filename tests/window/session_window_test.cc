@@ -24,6 +24,7 @@ namespace saber {
 namespace {
 
 using testing::BuffersEqual;
+using testing::MakeTestGpuOperator;
 using testing::RandomStream;
 using testing::RunSingleInput;
 
@@ -174,7 +175,7 @@ TEST_F(SessionGpuTest, UngroupedMatchesReference) {
   QueryDef q = syn::MakeAggregationAll(WindowDefinition::Session(3));
   auto stream = SessionStream(6000, 42);
   ByteBuffer want = ReferenceEvaluate(q, stream);
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   for (size_t batch : {size_t{33}, size_t{512}, size_t{6000}}) {
     ByteBuffer got = RunSingleInput(*op, q, stream, batch);
     EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
@@ -188,7 +189,7 @@ TEST_F(SessionGpuTest, GroupedMatchesReference) {
   q.where = Gt(Col(s, "a3"), Lit(1));
   auto stream = SessionStream(7000, 4242);
   ByteBuffer want = ReferenceEvaluate(q, stream);
-  auto op = MakeGpuOperator(&q, device_.get());
+  auto op = MakeTestGpuOperator(&q, device_.get());
   for (size_t batch : {size_t{50}, size_t{999}}) {
     ByteBuffer got = RunSingleInput(*op, q, stream, batch);
     EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
