@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
+#include <ranges>
 
 #include "cpu/cpu_operators.h"
 #include "fault/fault_registry.h"
@@ -18,6 +19,21 @@ namespace saber {
 namespace {
 constexpr int kEmpty = 0;
 constexpr int kStored = 1;
+
+/// Where TryCreateTasks may cut a query's pending input when the query has
+/// no task in flight, on top of the φ grid (docs/architecture.md §3).
+enum class IdleCut : uint8_t {
+  kNone,       // sessions, joins, UDFs, unbounded-window aggregations
+  kAnywhere,   // stateless: every output row depends on one tuple
+  kWindowEnd,  // count/time-window aggregations: a window end splits no pane
+};
+
+IdleCut IdleCutFor(const QueryDef& q) {
+  if (q.num_inputs != 1 || q.is_udf()) return IdleCut::kNone;
+  if (q.is_stateless()) return IdleCut::kAnywhere;
+  const WindowDefinition& w = q.window[0];
+  return w.session() || w.unbounded ? IdleCut::kNone : IdleCut::kWindowEnd;
+}
 
 /// Bucket bounds for saber_task_latency_nanos: 100 µs .. 5 s, roughly
 /// 1-2.5-5 per decade. The precise per-query percentiles stay with the
@@ -84,6 +100,11 @@ struct QueryState {
   int64_t insert_prev_ts[2] = {std::numeric_limits<int64_t>::min(),
                                std::numeric_limits<int64_t>::min()};
   int64_t next_task_start[2] = {0, 0};
+  /// End of the last φ cut (single-input queries). The next φ cut falls
+  /// at phi_cut_pos + φ whatever idle cuts came in between, so under
+  /// kFixedPhi the φ grid sits at multiples of φ.
+  int64_t phi_cut_pos = 0;
+  IdleCut idle_cut = IdleCut::kNone;
   int64_t tuples_dispatched[2] = {0, 0};
   int64_t prev_last_ts[2] = {-1, -1};
   int64_t last_ingest_ts[2] = {-1, -1};
@@ -392,6 +413,7 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
   }
   qs->assembly_state = qs->cpu_op->MakeAssemblyState();
   qs->concat_assembly = !qs->def.is_aggregation() && !qs->def.is_udf();
+  qs->idle_cut = IdleCutFor(qs->def);
   // The slot may be recycled: scrub the tenant-local scheduler/matrix state
   // before the dispatcher can see the new query.
   policy_->SetQueryWeight(qs->index, qs->def.weight);
@@ -738,8 +760,7 @@ void Engine::Stop() {
 // Dispatching stage (§4.1).
 // ===========================================================================
 
-int64_t Engine::TsAt(const CircularBuffer& buf, const Schema& /*schema*/,
-                     int64_t pos) const {
+int64_t Engine::TsAt(const CircularBuffer& buf, int64_t pos) {
   int64_t ts;
   buf.CopyOut(pos, sizeof(ts), &ts);  // timestamp is field 0
   return ts;
@@ -868,12 +889,54 @@ void Engine::TryCreateTasks(QueryState& qs) {
     }
     return;
   }
-  const size_t phi = qs.controller->phi();  // a multiple of the tuple size
-  CircularBuffer& buf = *qs.buffer[0];
-  while (static_cast<size_t>(buf.end() - qs.next_task_start[0]) >= phi) {
-    CreateSingleInputTask(qs,
-                          qs.next_task_start[0] + static_cast<int64_t>(phi));
+  // Read before the φ cuts below, which put tasks in flight themselves.
+  const bool idle = qs.tasks_dispatched.load() == qs.tasks_assembled.load();
+  // φ cuts stay on their grid whatever idle cuts came in between; a grid
+  // point an idle cut already passed (an adaptive φ may shrink) is spent.
+  const int64_t phi = static_cast<int64_t>(qs.controller->phi());
+  const int64_t end = qs.buffer[0]->end();
+  while (end - qs.phi_cut_pos >= phi) {
+    qs.phi_cut_pos += phi;
+    if (qs.phi_cut_pos > qs.next_task_start[0]) {
+      CreateSingleInputTask(qs, qs.phi_cut_pos);
+    }
   }
+  // Nothing in flight would emit the windows the buffered input has
+  // closed, so dispatch them now instead of waiting for φ to fill.
+  if (idle) {
+    const int64_t cut = IdleCutPos(qs);
+    if (cut > qs.next_task_start[0]) CreateSingleInputTask(qs, cut);
+  }
+}
+
+int64_t Engine::IdleCutPos(const QueryState& qs) const {
+  const int64_t start = qs.next_task_start[0];
+  const CircularBuffer& buf = *qs.buffer[0];
+  const int64_t end = buf.end();
+  if (end == start || qs.idle_cut == IdleCut::kNone) return start;
+  if (qs.idle_cut == IdleCut::kAnywhere) return end;
+  const WindowDefinition& w = qs.def.window[0];
+  const int64_t tsz =
+      static_cast<int64_t>(qs.def.input_schema[0].tuple_size());
+  const int64_t first = qs.tuples_dispatched[0];
+  // Index of the last window the buffered input has closed: on the count
+  // axis the one ending at or before the buffered tuple count, on the time
+  // axis the one ending at or before the newest timestamp.
+  const int64_t j =
+      w.time_based()
+          ? FloorDiv(TsAt(buf, end - tsz) - w.size, w.slide)
+          : FloorDiv(first + (end - start) / tsz - w.size, w.slide);
+  if (j < 0) return start;
+  const int64_t close = WindowEnd(w, j);
+  if (!w.time_based()) {
+    return std::max(start, start + (close - first) * tsz);
+  }
+  // The first pending tuple at or past the window end (the newest tuple
+  // is, so the search always lands inside the buffer).
+  const auto pending = std::views::iota(int64_t{0}, (end - start) / tsz);
+  return start + *std::ranges::partition_point(pending, [&](int64_t i) {
+    return TsAt(buf, start + i * tsz) < close;
+  }) * tsz;
 }
 
 bool Engine::FlushRemainder(QueryState& qs) {
@@ -885,6 +948,7 @@ bool Engine::FlushRemainder(QueryState& qs) {
   CircularBuffer& buf = *qs.buffer[0];
   if (buf.end() == qs.next_task_start[0]) return false;
   CreateSingleInputTask(qs, buf.end());
+  qs.phi_cut_pos = buf.end();
   return true;
 }
 
@@ -908,8 +972,9 @@ void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos) {
   in.start_pos = start_pos;
   in.end_pos = end_pos;
   in.first_index = qs.tuples_dispatched[0];
-  in.first_ts = TsAt(buf, schema, start_pos);
-  in.last_ts = TsAt(buf, schema, end_pos - static_cast<int64_t>(tsz));
+  in.first_ts = TsAt(buf, start_pos);
+  in.last_ts = TsAt(buf, end_pos - static_cast<int64_t>(tsz));
+  in.closing_ts = end_pos < buf.end() ? TsAt(buf, end_pos) : in.last_ts;
   in.prev_last_ts = qs.prev_last_ts[0];
   in.hist_start_pos = start_pos;
   in.hist_first_index = in.first_index;
@@ -931,10 +996,8 @@ void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos) {
 bool Engine::TryCreateJoinTask(QueryState& qs, bool flush) {
   CircularBuffer& b0 = *qs.buffer[0];
   CircularBuffer& b1 = *qs.buffer[1];
-  const Schema& s0 = qs.def.input_schema[0];
-  const Schema& s1 = qs.def.input_schema[1];
-  const size_t tsz0 = s0.tuple_size();
-  const size_t tsz1 = s1.tuple_size();
+  const size_t tsz0 = qs.def.input_schema[0].tuple_size();
+  const size_t tsz1 = qs.def.input_schema[1].tuple_size();
 
   const int64_t pend0 = b0.end() - qs.next_task_start[0];
   const int64_t pend1 = b1.end() - qs.next_task_start[1];
@@ -956,7 +1019,6 @@ bool Engine::TryCreateJoinTask(QueryState& qs, bool flush) {
   // Scan forward to the cut on both streams.
   int64_t end_pos[2], first_ts[2] = {0, 0}, last_ts[2] = {0, 0};
   int64_t ntup[2];
-  const Schema* schemas[2] = {&s0, &s1};
   CircularBuffer* bufs[2] = {&b0, &b1};
   const size_t tszs[2] = {tsz0, tsz1};
   for (int i = 0; i < 2; ++i) {
@@ -966,7 +1028,7 @@ bool Engine::TryCreateJoinTask(QueryState& qs, bool flush) {
     int64_t lts = qs.prev_last_ts[i];
     int64_t fts = 0;
     while (pos < end) {
-      const int64_t ts = TsAt(*bufs[i], *schemas[i], pos);
+      const int64_t ts = TsAt(*bufs[i], pos);
       if (ts > T) break;
       if (count == 0) fts = ts;
       lts = ts;
@@ -1039,7 +1101,7 @@ bool Engine::TryCreateJoinTask(QueryState& qs, bool flush) {
           0, FloorDiv(next_other_axis - w_other.size, w_other.slide) + 1);
       if (w_self.time_based()) {
         const int64_t keep_ts = j_min * w_self.slide;
-        while (pos < end_pos[i] && TsAt(buf, *schemas[i], pos) < keep_ts) {
+        while (pos < end_pos[i] && TsAt(buf, pos) < keep_ts) {
           pos += static_cast<int64_t>(tszs[i]);
           ++idx;
         }
@@ -1357,6 +1419,13 @@ void Engine::TryAssemble(QueryState& qs) {
           if (qs.sink) qs.sink(result->complete.data(), result->complete.size());
         }
       } else {
+        // A time window ending at or before the closing bound is complete
+        // (no later task holds an earlier tuple): raise the watermark so
+        // this task, not the next one, emits it.
+        if (qs.idle_cut == IdleCut::kWindowEnd &&
+            qs.def.window[0].time_based()) {
+          result->axis_q = std::max(result->axis_q, task->in[0].closing_ts);
+        }
         qs.assembly_scratch.Clear();
         qs.cpu_op->Assemble(*result, qs.assembly_state.get(),
                             &qs.assembly_scratch);

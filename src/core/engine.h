@@ -70,11 +70,14 @@ struct EngineOptions {
   /// depth (§5.2). Only read when use_gpu is true; see gpu/sim_device.h.
   SimDeviceOptions device;
 
-  /// Query task size φ. Unit: bytes; rounded down per query to a non-zero
-  /// multiple of the input tuple size. Default: 1 MiB. This is the central
-  /// throughput/latency knob of §6.4 (Fig. 12). With an adaptive
-  /// `task_sizing` policy this is the *maximum* φ — the controller moves
-  /// the live φ within [task_sizing.min_task_size, task_size].
+  /// Maximum query task size φ. Unit: bytes; rounded down per query to a
+  /// non-zero multiple of the input tuple size. Default: 1 MiB. The
+  /// dispatcher cuts a query's input every φ bytes, the central
+  /// throughput/latency knob of §6.4 (Fig. 12); a query with no task in
+  /// flight is also cut at the last window end its input has reached, so
+  /// its closed windows do not wait for φ to fill (docs/architecture.md
+  /// §3). With an adaptive `task_sizing` policy the controller moves the
+  /// live φ within [task_sizing.min_task_size, task_size].
   size_t task_size = 1 << 20;
 
   /// Adaptive task sizing (extension; cf. Das et al. [25], contrasted in
@@ -328,6 +331,11 @@ class Engine {
                     std::function<void(const uint8_t*, size_t)> sink);
   void TryCreateTasks(QueryState& qs);
   bool FlushRemainder(QueryState& qs);
+  /// The idle cut (docs/architecture.md §3): the furthest position the
+  /// pending single-input bytes can be cut at without splitting a pane, so
+  /// that no output byte changes; next_task_start when there is none.
+  /// Caller holds dispatch_mu.
+  int64_t IdleCutPos(const QueryState& qs) const;
   void CreateSingleInputTask(QueryState& qs, int64_t end_pos);
   bool TryCreateJoinTask(QueryState& qs, bool flush);
   /// Trace-sampling decision for a freshly cut task (resets the pooled
@@ -344,8 +352,7 @@ class Engine {
                         Processor p);
   void TryAssemble(QueryState& qs);
 
-  int64_t TsAt(const CircularBuffer& buf, const Schema& schema,
-               int64_t pos) const;
+  static int64_t TsAt(const CircularBuffer& buf, int64_t pos);
 
   /// Live QueryState for a slot, or nullptr. Lock-free: the pointer is
   /// guaranteed non-null while any task of the slot's query is dispatched

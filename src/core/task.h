@@ -49,6 +49,11 @@ struct QueryTask {
     int64_t first_ts = 0;      // timestamp of the first batch tuple
     int64_t last_ts = 0;       // timestamp of the last batch tuple
     int64_t prev_last_ts = -1; // last timestamp of the previous batch
+    /// Closing bound (single-input tasks): the timestamp of the first tuple
+    /// already buffered past the batch when it was cut, else last_ts. No
+    /// later task holds an earlier timestamp, so every time window ending
+    /// at or before it is closed once this task assembles.
+    int64_t closing_ts = 0;
     /// Join window extent preceding the batch (equals start_pos for
     /// single-input queries).
     int64_t hist_start_pos = 0;

@@ -11,10 +11,10 @@
 /// Aggregate functions (§2.4, §5.3). The engine computes partial aggregates
 /// per *window fragment* and later merges them in the assembly operator
 /// function, so every function is expressed over a mergeable POD state.
-/// sum/count/avg are additionally *invertible* (§5.3). The assembly does not
-/// rely on it: subtracting an expiring pane from a float sum drifts once a
-/// large value has passed through the window, so sliding windows use
-/// two-stacks (two_stacks.h), which only merges.
+/// §5.3 also inverts sum/count/avg to slide a window; this engine does not:
+/// subtracting an expiring pane from a float sum drifts once a large value
+/// has passed through the window, so sliding windows use two-stacks
+/// (two_stacks.h), which only merges.
 
 namespace saber {
 
@@ -29,11 +29,6 @@ inline const char* AggregateName(AggregateFunction f) {
     case AggregateFunction::kMax: return "max";
   }
   return "?";
-}
-
-/// True if the function supports removal of values (sum/count/avg).
-inline bool Invertible(AggregateFunction f) {
-  return f != AggregateFunction::kMin && f != AggregateFunction::kMax;
 }
 
 /// One aggregate column in a query: `fn(input) AS name`. For kCount the
@@ -67,13 +62,6 @@ inline void AggAdd(AggState* s, double v) {
   s->count += 1;
   s->min_v = std::min(s->min_v, v);
   s->max_v = std::max(s->max_v, v);
-}
-
-/// Removes a value previously added. Only meaningful for invertible
-/// functions; min/max fields become stale and must not be read.
-inline void AggRemove(AggState* s, double v) {
-  s->sum -= v;
-  s->count -= 1;
 }
 
 inline void AggMerge(AggState* into, const AggState& from) {

@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdint>
-#include <random>
 #include <type_traits>
 
 #include "cpu/cpu_operators.h"
@@ -21,6 +19,7 @@ using testing::MakeTestGpuOperator;
 using testing::RandomStream;
 using testing::RunJoin;
 using testing::RunSingleInput;
+using testing::SplitStream;
 
 Schema SynSchema() {
   return Schema::MakeStream({{"v", DataType::kFloat},
@@ -294,38 +293,9 @@ std::vector<QueryDef> SplitQueries() {
 constexpr size_t kSplitTuples = 40000;
 constexpr size_t kSplitBatch = 20000;  // ~5000 tuples per group
 
-/// The work-group tests' stream. Timestamps advance by 0 or 1 and jump by
-/// 10 (an inactivity gap for Session(3)) about every 50 tuples, and k takes
-/// 2 values, so every pane, session and group within them holds tens of
-/// tuples. With `non_integral`, v holds floats whose magnitudes span 2^60:
-/// a double sum over them then depends on how the values are associated,
-/// so a cut inside a pane or session (two partials merged at assembly)
-/// would change the output bytes.
-std::vector<uint8_t> SplitStream(uint32_t seed, bool non_integral) {
-  Schema s = SynSchema();
-  auto stream = RandomStream(s, kSplitTuples, seed, /*max_ts_gap=*/0,
-                             /*attr_range=*/2);
-  std::mt19937 rng(seed);
-  std::uniform_int_distribution<int> step(0, 99);
-  std::uniform_real_distribution<float> mantissa(-1.0f, 1.0f);
-  std::uniform_int_distribution<int> exponent(-30, 30);
-  const size_t v_offset = s.field(s.FieldIndex("v")).offset;
-  int64_t ts = 0;
-  for (size_t off = 0; off < stream.size(); off += s.tuple_size()) {
-    const int r = step(rng);
-    ts += r < 2 ? 10 : r % 2;
-    std::memcpy(stream.data() + off, &ts, sizeof(ts));
-    if (non_integral) {
-      const float v = std::ldexp(mantissa(rng), exponent(rng));
-      std::memcpy(stream.data() + off + v_offset, &v, sizeof(v));
-    }
-  }
-  return stream;
-}
-
 TEST_F(GpuOperatorTest, WorkGroupsMatchCpuOnNonIntegralFloats) {
   Schema s = SynSchema();
-  auto stream = SplitStream(61, /*non_integral=*/true);
+  auto stream = SplitStream(s, kSplitTuples, 61, /*non_integral=*/true);
   const size_t groups = static_cast<size_t>(device_->options().num_executors);
   for (const QueryDef& q : SplitQueries()) {
     ASSERT_GT(
@@ -342,7 +312,8 @@ TEST_F(GpuOperatorTest, WorkGroupsMatchCpuOnNonIntegralFloats) {
 }
 
 TEST_F(GpuOperatorTest, WorkGroupsMatchReferenceOnIntegralValues) {
-  auto stream = SplitStream(63, /*non_integral=*/false);
+  auto stream = SplitStream(SynSchema(), kSplitTuples, 63,
+                            /*non_integral=*/false);
   for (const QueryDef& q : SplitQueries()) {
     auto gpu = MakeTestGpuOperator(&q, device_.get());
     ByteBuffer want = ReferenceEvaluate(q, stream);

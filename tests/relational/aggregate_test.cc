@@ -47,24 +47,5 @@ TEST(AggState, MergeEqualsSequential) {
   }
 }
 
-TEST(AggState, RemoveInvertsAddForInvertibleFunctions) {
-  AggState s;
-  AggInit(&s);
-  AggAdd(&s, 2.0);
-  AggAdd(&s, 7.0);
-  AggRemove(&s, 2.0);
-  EXPECT_DOUBLE_EQ(AggFinalize(AggregateFunction::kSum, s), 7.0);
-  EXPECT_DOUBLE_EQ(AggFinalize(AggregateFunction::kCount, s), 1.0);
-  EXPECT_DOUBLE_EQ(AggFinalize(AggregateFunction::kAvg, s), 7.0);
-}
-
-TEST(Aggregate, InvertibilityFlags) {
-  EXPECT_TRUE(Invertible(AggregateFunction::kSum));
-  EXPECT_TRUE(Invertible(AggregateFunction::kCount));
-  EXPECT_TRUE(Invertible(AggregateFunction::kAvg));
-  EXPECT_FALSE(Invertible(AggregateFunction::kMin));
-  EXPECT_FALSE(Invertible(AggregateFunction::kMax));
-}
-
 }  // namespace
 }  // namespace saber

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <random>
@@ -65,6 +66,35 @@ inline std::vector<uint8_t> RandomStream(const Schema& schema, size_t n,
     }
   }
   return out;
+}
+
+/// A stream for tests that cut it into tasks or work groups. Timestamps
+/// advance by 0 or 1 and jump by 10 (an inactivity gap for Session(3))
+/// about every 50 tuples, and every other attribute takes 2 values, so
+/// every pane, session and group within them holds tens of tuples. With
+/// `non_integral`, the float field "v" holds values whose magnitudes span
+/// 2^60: a double sum over them then depends on how the values are
+/// associated, so a cut inside a pane or session (two partials merged at
+/// assembly) would change the output bytes.
+inline std::vector<uint8_t> SplitStream(const Schema& s, size_t n,
+                                        uint32_t seed, bool non_integral) {
+  auto stream = RandomStream(s, n, seed, /*max_ts_gap=*/0, /*attr_range=*/2);
+  std::mt19937 rng(seed);
+  std::uniform_int_distribution<int> step(0, 99);
+  std::uniform_real_distribution<float> mantissa(-1.0f, 1.0f);
+  std::uniform_int_distribution<int> exponent(-30, 30);
+  const size_t v_offset = s.field(s.FieldIndex("v")).offset;
+  int64_t ts = 0;
+  for (size_t off = 0; off < stream.size(); off += s.tuple_size()) {
+    const int r = step(rng);
+    ts += r < 2 ? 10 : r % 2;
+    std::memcpy(stream.data() + off, &ts, sizeof(ts));
+    if (non_integral) {
+      const float v = std::ldexp(mantissa(rng), exponent(rng));
+      std::memcpy(stream.data() + off + v_offset, &v, sizeof(v));
+    }
+  }
+  return stream;
 }
 
 /// A GpuOperator together with the CPU batch operator it borrows (the

@@ -13,7 +13,7 @@
 ///                        to accept remote peers)
 ///   --workers N          engine CPU worker threads (default 4)
 ///   --no-gpu             disable the simulated GPGPU pipeline
-///   --task-size B        fixed task size in bytes (default 1 MiB)
+///   --task-size B        maximum task size in bytes (default 1 MiB)
 ///   --idle-timeout-ms N  slow-loris guard / silent-connection sweep
 ///                        (default 30000; <= 0 disables)
 ///   --max-frame B        per-frame payload bound (default 4 MiB)
