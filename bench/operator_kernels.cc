@@ -5,10 +5,9 @@
 /// aggregation (GROUP-BY with WHERE), and the θ-join probe loop.
 ///
 /// Emits BENCH_operators.json (median tuples/s per kernel) for the perf
-/// trajectory; CI publishes it next to BENCH_sched.json /
-/// BENCH_adaptive.json. The source only needs MakeCpuOperator(query), so
-/// it also builds against older checkouts for interleaved A/B runs per
-/// docs/benchmarks.md methodology.
+/// trajectory; CI publishes it next to BENCH_sched.json. The source only
+/// needs MakeCpuOperator(query), so it also builds against older checkouts
+/// for interleaved A/B runs per docs/benchmarks.md methodology.
 ///
 /// Flags: --quick (CI-sized run), --iters N, --out <path>.
 

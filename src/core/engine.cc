@@ -51,8 +51,8 @@ thread_local bool Engine::in_worker_thread_ = false;
 
 /// Per-query engine state. Owned jointly by the registry slot and the
 /// query's handle (shared_ptr): retirement frees the heavyweight pieces
-/// (input buffers, ingress) and detaches the slot, while the statistics,
-/// controller and definition stay readable through the handle forever.
+/// (input buffers, ingress) and detaches the slot, while the statistics
+/// and definition stay readable through the handle forever.
 struct QueryState {
   struct Slot {
     std::atomic<int> status{0};  // 0 = empty, 1 = stored
@@ -62,7 +62,7 @@ struct QueryState {
 
   QueryDef def;
   int index = 0;
-  size_t task_size = 0;  // configured (maximum) φ rounded to the tuple size
+  size_t task_size = 0;  // φ: the configured task size, tuple-rounded
 
   // Dynamic lifecycle (docs/architecture.md, "Query lifecycle & admission").
   // Admitted -> Running -> Draining -> Retired, monotone. The store to
@@ -79,10 +79,6 @@ struct QueryState {
   /// Claimed by the (single) RemoveQuery call that will retire this query.
   std::atomic<bool> removal_started{false};
 
-  // Owns the live φ (task_size_controller.h): the dispatcher reads
-  // controller->phi() on every cut decision, the result stage feeds it
-  // latencies under the assembly token.
-  std::unique_ptr<TaskSizeController> controller;
   std::unique_ptr<Operator> cpu_op;
   /// Runs cpu_op's batch function on the device; declared after cpu_op,
   /// which it borrows.
@@ -101,8 +97,8 @@ struct QueryState {
                                std::numeric_limits<int64_t>::min()};
   int64_t next_task_start[2] = {0, 0};
   /// End of the last φ cut (single-input queries). The next φ cut falls
-  /// at phi_cut_pos + φ whatever idle cuts came in between, so under
-  /// kFixedPhi the φ grid sits at multiples of φ.
+  /// at phi_cut_pos + φ whatever idle cuts came in between, so the φ grid
+  /// sits at multiples of φ.
   int64_t phi_cut_pos = 0;
   IdleCut idle_cut = IdleCut::kNone;
   int64_t tuples_dispatched[2] = {0, 0};
@@ -216,12 +212,6 @@ obs::Labels QueryHandle::metric_labels() const {
   return QueryMetricLabels(*qs_);
 }
 const LatencyHistogram& QueryHandle::latency() const { return qs_->latency; }
-size_t QueryHandle::current_task_size() const {
-  return qs_->controller->phi();
-}
-ControllerStats QueryHandle::controller_stats() const {
-  return qs_->controller->Stats();
-}
 
 // ===========================================================================
 // Engine lifecycle.
@@ -230,6 +220,7 @@ ControllerStats QueryHandle::controller_stats() const {
 Engine::Engine(EngineOptions options) : options_(options) {
   SABER_CHECK(options_.max_queries > 0 &&
               options_.max_queries <= kMaxQuerySlots);
+  SABER_CHECK(options_.task_size <= options_.input_buffer_size);
   if (options_.metrics != nullptr) {
     metrics_ = options_.metrics;
   } else {
@@ -291,29 +282,14 @@ Engine::Engine(EngineOptions options) : options_(options) {
   // admission/retirement register and unregister series while holding
   // registry_mu_ — so a collector that took registry_mu_ (SnapshotQueries,
   // num_live_queries) would form an ABBA cycle with a concurrent
-  // TryAddQuery/RemoveQuery scrape. The collector therefore reads the
-  // lock-free live_ view instead: QueryState pointers published there stay
-  // valid for the engine's lifetime (each handle co-owns its state), and a
-  // query that retires mid-scrape simply keeps its last published gauges.
+  // TryAddQuery/RemoveQuery scrape. The collector therefore counts the
+  // lock-free live_ view instead.
   metrics_->AddCollector(
       [this, queue_depth_gauge, live_queries_gauge] {
         queue_depth_gauge->Set(static_cast<double>(task_queue_->size()));
         size_t live = 0;
         for (size_t i = 0; i < options_.max_queries; ++i) {
-          QueryState* qs = live_[i].load(std::memory_order_acquire);
-          if (qs == nullptr) continue;
-          ++live;
-          const ControllerStats cs = qs->controller->Stats();
-          const obs::Labels labels = QueryMetricLabels(*qs);
-          metrics_
-              ->GetGauge("saber_controller_phi_bytes", labels,
-                         "Live query task size (phi)")
-              ->Set(static_cast<double>(cs.current_phi));
-          metrics_
-              ->GetGauge("saber_controller_last_p99_nanos", labels,
-                         "p99 task latency of the last closed controller "
-                         "interval")
-              ->Set(static_cast<double>(cs.last_p99_nanos));
+          if (live_[i].load(std::memory_order_acquire) != nullptr) ++live;
         }
         live_queries_gauge->Set(static_cast<double>(live));
       },
@@ -346,8 +322,8 @@ Engine::Engine(EngineOptions options) : options_(options) {
 
 Engine::~Engine() {
   Stop();
-  // With a borrowed registry the external series (query stats, controller
-  // and failover counters) and the collectors reference engine-owned
+  // With a borrowed registry the external series (query stats and
+  // failover counters) and the collectors reference engine-owned
   // storage; detach them so the registry remains scrapable after this
   // engine is gone. No-op side effects for an owned registry.
   metrics_->Unregister(this);
@@ -387,19 +363,6 @@ Result<QueryHandle*> Engine::TryAddQuery(QueryDef def) {
   qs->index = static_cast<int>(slot);
   const size_t tsz0 = qs->def.input_schema[0].tuple_size();
   qs->task_size = std::max(tsz0, options_.task_size / tsz0 * tsz0);
-  // The throughput-guard policy consults the matrix; until a cell has
-  // published a *measured* rate rather than the uniform prior, the rate
-  // reads as "unknown" and the guard stays open (it must not clamp on
-  // fictional data). The controller outlives the matrix-reading threads
-  // (workers join in Stop).
-  const int index = qs->index;
-  qs->controller = std::make_unique<TaskSizeController>(
-      options_.task_sizing, qs->task_size, tsz0,
-      /*rate=*/[this, index]() -> double {
-        if (matrix_ == nullptr) return 0.0;
-        return std::max(matrix_->RateIfPublished(index, Processor::kCpu),
-                        matrix_->RateIfPublished(index, Processor::kGpu));
-      });
   qs->cpu_op = MakeCpuOperator(&qs->def);
   if (device_ != nullptr) {
     qs->gpu_op = std::make_unique<GpuOperator>(*qs->cpu_op, device_.get());
@@ -457,7 +420,6 @@ void Engine::RegisterQueryMetricsLocked(QueryState& qs) {
   metrics_->RegisterHistogram(
       "saber_task_latency_nanos", labels, &qs.latency_hist, this,
       "End-to-end task latency (dispatch to output emission)");
-  qs.controller->RegisterMetrics(metrics_, labels, this);
 }
 
 Status Engine::RemoveQuery(QueryHandle* query) {
@@ -891,15 +853,14 @@ void Engine::TryCreateTasks(QueryState& qs) {
   }
   // Read before the φ cuts below, which put tasks in flight themselves.
   const bool idle = qs.tasks_dispatched.load() == qs.tasks_assembled.load();
-  // φ cuts stay on their grid whatever idle cuts came in between; a grid
-  // point an idle cut already passed (an adaptive φ may shrink) is spent.
-  const int64_t phi = static_cast<int64_t>(qs.controller->phi());
+  // φ cuts stay on their grid whatever idle cuts came in between. An idle
+  // cut lies at or below the buffer end, which this loop leaves less than
+  // φ past the last grid point, so it always falls before the next one.
+  const int64_t phi = static_cast<int64_t>(qs.task_size);
   const int64_t end = qs.buffer[0]->end();
   while (end - qs.phi_cut_pos >= phi) {
     qs.phi_cut_pos += phi;
-    if (qs.phi_cut_pos > qs.next_task_start[0]) {
-      CreateSingleInputTask(qs, qs.phi_cut_pos);
-    }
+    CreateSingleInputTask(qs, qs.phi_cut_pos);
   }
   // Nothing in flight would emit the windows the buffered input has
   // closed, so dispatch them now instead of waiting for φ to fill.
@@ -1002,8 +963,7 @@ bool Engine::TryCreateJoinTask(QueryState& qs, bool flush) {
   const int64_t pend0 = b0.end() - qs.next_task_start[0];
   const int64_t pend1 = b1.end() - qs.next_task_start[1];
   if (pend0 + pend1 == 0) return false;
-  const int64_t phi = static_cast<int64_t>(qs.controller->phi());
-  if (!flush && pend0 + pend1 < phi) {
+  if (!flush && pend0 + pend1 < static_cast<int64_t>(qs.task_size)) {
     return false;
   }
 
@@ -1441,7 +1401,6 @@ void Engine::TryAssemble(QueryState& qs) {
       const int64_t task_latency = NowNanos() - result->dispatched_nanos;
       qs.latency.RecordNanos(task_latency);
       qs.latency_hist.Record(task_latency);
-      qs.controller->Observe(task_latency);
       if (task->traced && trace_ != nullptr) {
         obs::TaskSpan span;
         span.task_id = task->id;

@@ -11,7 +11,6 @@
 #include "core/operator.h"
 #include "core/schedulers.h"
 #include "core/task.h"
-#include "core/task_size_controller.h"
 #include "core/throughput_matrix.h"
 #include "gpu/gpu_operators.h"
 #include "obs/metrics.h"
@@ -70,27 +69,20 @@ struct EngineOptions {
   /// depth (§5.2). Only read when use_gpu is true; see gpu/sim_device.h.
   SimDeviceOptions device;
 
-  /// Maximum query task size φ. Unit: bytes; rounded down per query to a
-  /// non-zero multiple of the input tuple size. Default: 1 MiB. The
-  /// dispatcher cuts a query's input every φ bytes, the central
-  /// throughput/latency knob of §6.4 (Fig. 12); a query with no task in
-  /// flight is also cut at the last window end its input has reached, so
-  /// its closed windows do not wait for φ to fill (docs/architecture.md
-  /// §3). With an adaptive `task_sizing` policy the controller moves the
-  /// live φ within [task_sizing.min_task_size, task_size].
+  /// Query task size φ. Unit: bytes; rounded down per query to a non-zero
+  /// multiple of the input tuple size and fixed for the query's lifetime.
+  /// Default: 1 MiB. The dispatcher cuts a query's input every φ bytes,
+  /// the central throughput/latency knob of §6.4 (Fig. 12); a query with
+  /// no task in flight is also cut at the last window end its input has
+  /// reached, so its closed windows do not wait for φ to fill
+  /// (docs/architecture.md §3).
   size_t task_size = 1 << 20;
-
-  /// Adaptive task sizing (extension; cf. Das et al. [25], contrasted in
-  /// §7): policy selection plus per-policy knobs. The default policy
-  /// (kFixedPhi) keeps φ pinned at `task_size`; the AIMD/guard policies
-  /// re-tune each query's φ from observed task latencies. See
-  /// core/task_size_controller.h for the per-field docs.
-  TaskSizeControllerOptions task_sizing;
 
   /// Circular input buffer capacity per stream (§4.1). Unit: bytes.
   /// Default: 64 MiB. Bounds producer back-pressure: inserts block once
   /// unconsumed + window-history bytes reach this. Must comfortably exceed
-  /// φ (`task_size`) plus the largest window extent, or dispatch starves.
+  /// φ (`task_size`) plus the largest window extent, or dispatch starves;
+  /// the Engine constructor aborts when `task_size` exceeds it.
   size_t input_buffer_size = size_t{64} << 20;
   /// System-wide task queue bound (dispatch back-pressure). Unit: tasks.
   /// Default: 256. Producer-thread pushes block when full; worker-context
@@ -121,7 +113,7 @@ struct EngineOptions {
   std::map<int, Processor> static_assignment;
   /// Throughput matrix refresh interval (100 ms in §6.6). Unit: nanoseconds.
   /// Default: 100 ms. Shorter reacts faster but publishes noisier rates to
-  /// HLS and (under kThroughputGuard) to the task-size controller.
+  /// HLS.
   int64_t matrix_update_nanos = 100'000'000;
   /// Initial uniform rate for the throughput matrix. Unit: tasks/s.
   /// Default: 100. Until real completions refresh a cell, HLS plans with
@@ -218,12 +210,6 @@ class QueryHandle {
   /// Tuples rejected because they arrived while the query was Draining or
   /// Retired (survivor-correctness metric for the churn bench).
   int64_t tuples_dropped() const;
-  /// Current query task size φ (differs from EngineOptions::task_size only
-  /// under an adaptive task_sizing policy).
-  size_t current_task_size() const;
-  /// Snapshot of this query's task-size controller (live φ, adjust/clamp
-  /// counts, last observed interval p99). Callable from any thread.
-  ControllerStats controller_stats() const;
   /// Tasks / bytes executed per processor (the Fig. 7 CPU/GPGPU split).
   int64_t tasks_on(Processor p) const;
   int64_t bytes_on(Processor p) const;

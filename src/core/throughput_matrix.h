@@ -58,7 +58,6 @@ class ThroughputMatrix {
       std::lock_guard<std::mutex> lock(c.mu);
       c.head = 0;
       for (size_t i = 0; i < kWindow; ++i) c.completions[i] = 0;
-      c.published.store(false, std::memory_order_relaxed);
       c.rate.store(initial_rate_, std::memory_order_relaxed);
       c.last_refresh.store(0, std::memory_order_relaxed);
       c.exec_count.store(0, std::memory_order_relaxed);
@@ -82,18 +81,6 @@ class ThroughputMatrix {
   double Rate(int query, Processor p) const {
     return std::max(cell(query, p).rate.load(std::memory_order_relaxed),
                     kMinRate);
-  }
-
-  /// Like Rate, but 0 while the cell still holds the uniform-assumption
-  /// prior (no measured refresh or SetRate yet). HLS always needs a finite
-  /// rate and uses Rate; consumers that must not act on fictional data —
-  /// the task-size controller's throughput guard — use this.
-  double RateIfPublished(int query, Processor p) const {
-    const Cell& c = cell(query, p);
-    // Acquire pairs with the release store in SetRate/MaybeRefresh: seeing
-    // published == true must imply seeing the measured rate, not the prior.
-    if (!c.published.load(std::memory_order_acquire)) return 0.0;
-    return std::max(c.rate.load(std::memory_order_relaxed), kMinRate);
   }
 
   /// The processor with the highest observed rate for q (ties favor CPU,
@@ -127,7 +114,6 @@ class ThroughputMatrix {
     const double cur =
         std::max(c.rate.load(std::memory_order_relaxed), kMinRate);
     c.rate.store(std::max(cur * factor, kMinRate), std::memory_order_relaxed);
-    c.published.store(true, std::memory_order_release);
     if (refresh_listener_) refresh_listener_();
   }
 
@@ -135,7 +121,6 @@ class ThroughputMatrix {
   void SetRate(int query, Processor p, double rate) {
     Cell& c = cell(query, p);
     c.rate.store(rate, std::memory_order_relaxed);
-    c.published.store(true, std::memory_order_release);
     if (refresh_listener_) refresh_listener_();
   }
 
@@ -154,8 +139,6 @@ class ThroughputMatrix {
     int64_t completions[kWindow] = {0};
     size_t head = 0;
     std::atomic<double> rate;
-    /// False while `rate` is still the constructor's uniform prior.
-    std::atomic<bool> published{false};
     std::atomic<int64_t> last_refresh{0};
     std::atomic<int64_t> exec_count{0};
   };
@@ -167,7 +150,6 @@ class ThroughputMatrix {
                                                 std::memory_order_relaxed)) {
       return;
     }
-    bool published = false;
     {
       std::lock_guard<std::mutex> lock(c.mu);
       if (c.head < kWindow) return;  // not enough samples yet
@@ -177,11 +159,9 @@ class ThroughputMatrix {
       const double rate =
           static_cast<double>(kWindow - 1) / ((newest - oldest) * 1e-9);
       c.rate.store(rate, std::memory_order_relaxed);
-      c.published.store(true, std::memory_order_release);
-      published = true;
     }
     // Outside the cell lock: the listener takes the task-queue lock.
-    if (published && refresh_listener_) refresh_listener_();
+    if (refresh_listener_) refresh_listener_();
   }
 
   Cell& cell(int query, Processor p) {

@@ -13,8 +13,8 @@
 
 /// \file metrics.h
 /// The unified metrics registry: one home for every operational number the
-/// engine, ingestion stage, network front end, task-size controller and
-/// fault registry used to keep in ad-hoc per-subsystem structs.
+/// engine, ingestion stage, network front end and fault registry used to
+/// keep in ad-hoc per-subsystem structs.
 ///
 /// Instruments — counters, gauges, fixed-bucket histograms — are registered
 /// by (name, labels) and live for the registry's lifetime; registration
@@ -50,8 +50,8 @@
 ///    Prometheus reads as an ordinary counter reset.
 ///
 /// The engine owns one registry (or borrows one via `EngineOptions::metrics`)
-/// and every attached subsystem — ingress fronts, the network server, the
-/// task-size controllers — registers on it, so a single `Snapshot()` covers
+/// and every attached subsystem — ingress fronts, the network server —
+/// registers on it, so a single `Snapshot()` covers
 /// the whole process tree of one engine.
 
 namespace saber::obs {

@@ -56,13 +56,6 @@ class LatencyHistogram {
     return max_nanos();
   }
 
-  void Reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-    max_.store(0, std::memory_order_relaxed);
-  }
-
   std::string Summary() const {
     char buf[160];
     std::snprintf(buf, sizeof(buf),

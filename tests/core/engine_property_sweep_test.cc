@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -33,6 +34,11 @@ struct SweepCase {
   WindowDefinition window;
   std::string label;
 };
+
+// gtest_discover_tests names each case after this printout. Without it
+// gtest dumps the struct's bytes, the string's heap pointer included, and
+// the CTest names change from one build to the next.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.label; }
 
 QueryDef MakeQuery(const SweepCase& c) {
   switch (c.op) {
@@ -129,10 +135,7 @@ std::vector<SweepCase> MakeSweep() {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOperatorsAllWindows, EnginePropertySweep,
-                         ::testing::ValuesIn(MakeSweep()),
-                         [](const ::testing::TestParamInfo<SweepCase>& info) {
-                           return info.param.label;
-                         });
+                         ::testing::ValuesIn(MakeSweep()));
 
 }  // namespace
 }  // namespace saber

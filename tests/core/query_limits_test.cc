@@ -276,5 +276,19 @@ TEST(QueryLimitsDeathTest, AddQueryRejectsHandBuiltDefOverLimit) {
       "Engine::AddQuery.*kMaxAggregatesPerQuery");
 }
 
+TEST(QueryLimitsDeathTest, TaskSizeAboveInputBufferAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // The dispatcher cuts a task once φ bytes are buffered, so a φ beyond the
+  // input buffer would never be cut. The engine refuses it up front, the
+  // same way it refuses a max_queries outside its slot range.
+  EngineOptions o = TinyEngine(1);
+  o.input_buffer_size = 1 << 20;
+  o.task_size = o.input_buffer_size;
+  { Engine at_capacity(o); }
+  o.task_size = o.input_buffer_size + 1;
+  EXPECT_DEATH({ Engine engine(o); },
+               "SABER_CHECK failed.*task_size <= options_.input_buffer_size");
+}
+
 }  // namespace
 }  // namespace saber

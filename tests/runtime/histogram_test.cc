@@ -26,15 +26,6 @@ TEST(LatencyHistogram, PercentilesAreMonotoneAndBracketed) {
   EXPECT_NEAR(static_cast<double>(p99), 9900.0, 9900.0 / 8);
 }
 
-TEST(LatencyHistogram, ResetClears) {
-  LatencyHistogram h;
-  h.RecordNanos(123456);
-  h.Reset();
-  EXPECT_EQ(h.count(), 0);
-  EXPECT_EQ(h.max_nanos(), 0);
-  EXPECT_EQ(h.PercentileNanos(99), 0);
-}
-
 TEST(LatencyHistogram, NegativeClampsToZero) {
   LatencyHistogram h;
   h.RecordNanos(-5);

@@ -17,13 +17,7 @@
 ///   --workers N     CPU worker threads                    (default 4)
 ///   --no-gpu        run without the simulated GPGPU
 ///   --task-size B   query task size phi in bytes          (default 1 MiB)
-///                   (the ceiling under an adaptive policy)
-///   --policy P      task sizing policy: fixed | aimd | guard
-///                   (default fixed; see core/task_size_controller.h)
-///   --target-ms N   adaptive latency target in ms         (default 10)
-///   --min-task-size B  adaptive phi floor in bytes        (default 4096)
-///                   (--target-ms / --min-task-size imply --policy aimd
-///                    unless a policy is given explicitly)
+///                   (64 B to 64 MiB, the default input buffer)
 ///   --limit N       output rows to print                  (default 10)
 ///   --seed N        generator seed                        (default 42)
 ///   --producers N   sharded ingestion: N producer threads per input feed
@@ -96,6 +90,7 @@
 #include "runtime/blocking_queue.h"
 #include "runtime/clock.h"
 #include "sql/parser.h"
+#include "task_size_flag.h"
 #include "workloads/sharding.h"
 #include "workloads/cluster_monitoring.h"
 #include "workloads/linear_road.h"
@@ -111,7 +106,6 @@ struct CliOptions {
   int workers = 4;
   bool use_gpu = true;
   size_t task_size = 1 << 20;
-  TaskSizeControllerOptions task_sizing;
   int producers = 1;
   double rate = 0.0;  // bytes/s per sharded producer; <= 0 = unmetered
   int churn = 0;      // add/remove cycles against the live engine
@@ -133,8 +127,7 @@ struct CliOptions {
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--tuples N] [--workers N] [--no-gpu] "
-               "[--task-size B] [--policy fixed|aimd|guard] [--target-ms N] "
-               "[--min-task-size B] [--producers N] [--rate B] [--churn N] "
+               "[--task-size B] [--producers N] [--rate B] [--churn N] "
                "[--disorder J] [--lateness L] "
                "[--late-policy abort|drop|dead-letter] [--connect H:P] "
                "[--metrics] [--trace FILE] [--trace-sample R] "
@@ -144,8 +137,6 @@ struct CliOptions {
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* o) {
-  bool policy_explicit = false;
-  bool adaptive_knob_used = false;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&]() -> const char* {
@@ -159,21 +150,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* o) {
     } else if (a == "--no-gpu") {
       o->use_gpu = false;
     } else if (a == "--task-size") {
-      o->task_size = std::strtoull(next(), nullptr, 10);
-    } else if (a == "--policy") {
-      const char* name = next();
-      if (!TaskSizeController::ParsePolicy(name, &o->task_sizing.policy)) {
-        std::fprintf(stderr, "unknown task sizing policy: %s\n", name);
-        return false;
-      }
-      policy_explicit = true;
-    } else if (a == "--target-ms") {
-      o->task_sizing.latency_target_nanos =
-          static_cast<int64_t>(std::atof(next()) * 1e6);
-      adaptive_knob_used = true;
-    } else if (a == "--min-task-size") {
-      o->task_sizing.min_task_size = std::strtoull(next(), nullptr, 10);
-      adaptive_knob_used = true;
+      if (!ParseTaskSizeFlag(next(), &o->task_size)) return false;
     } else if (a == "--producers") {
       o->producers = std::atoi(next());
       if (o->producers < 1) {
@@ -244,13 +221,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* o) {
       if (!o->sql.empty()) o->sql += ' ';
       o->sql += a;
     }
-  }
-  // Adaptive knobs without a policy would be silently dead under the
-  // default kFixedPhi; they imply aimd (an explicit --policy still wins).
-  if (adaptive_knob_used && !policy_explicit) {
-    o->task_sizing.policy = TaskSizePolicy::kLatencyTargetAimd;
-    std::fprintf(stderr,
-                 "note: --target-ms/--min-task-size imply --policy aimd\n");
   }
   if (o->rate > 0 && o->producers < 2) {
     std::fprintf(stderr,
@@ -550,7 +520,6 @@ int main(int argc, char** argv) {
   options.num_cpu_workers = cli.workers;
   options.use_gpu = cli.use_gpu;
   options.task_size = cli.task_size;
-  options.task_sizing = cli.task_sizing;
   // --trace alone samples everything (CLI runs are short and the ring is
   // bounded anyway); an explicit --trace-sample wins.
   options.trace_sample_rate =
@@ -826,9 +795,7 @@ int main(int argc, char** argv) {
               static_cast<long long>(q->latency().PercentileNanos(50) / 1000));
   std::printf("p99 latency  : %lld us\n",
               static_cast<long long>(q->latency().PercentileNanos(99) / 1000));
-  const ControllerStats cs = q->controller_stats();
-  std::printf("task sizing  : policy=%s phi=%zu B\n",
-              TaskSizeController::PolicyName(cs.policy), cs.current_phi);
+  std::printf("task size    : %zu B\n", cli.task_size);
   std::printf("weight       : %.1f (weighted-fair HLS share)\n",
               q->def().weight);
   if (cli.churn > 0) {
@@ -848,8 +815,8 @@ int main(int argc, char** argv) {
     std::printf("queries live : %zu\n", engine.num_live_queries());
   }
   // Every raw counter — tuples/bytes in, the CPU/GPGPU task split, GPGPU
-  // failover, controller adjusts, per-producer ingest — now renders through
-  // the registry formatter: the same snapshot a /metrics scrape serves.
+  // failover, per-producer ingest — now renders through the registry
+  // formatter: the same snapshot a /metrics scrape serves.
   const obs::MetricsSnapshot snap = engine.metrics()->Snapshot();
   std::printf("%s", obs::FormatMetricsSummary(snap, "  ").c_str());
   if (cli.late_policy == ingest::LatePolicy::kDeadLetter) {

@@ -13,7 +13,8 @@
 ///                        to accept remote peers)
 ///   --workers N          engine CPU worker threads (default 4)
 ///   --no-gpu             disable the simulated GPGPU pipeline
-///   --task-size B        maximum task size in bytes (default 1 MiB)
+///   --task-size B        query task size phi in bytes, 64 B to 64 MiB
+///                        (default 1 MiB)
 ///   --idle-timeout-ms N  slow-loris guard / silent-connection sweep
 ///                        (default 30000; <= 0 disables)
 ///   --max-frame B        per-frame payload bound (default 4 MiB)
@@ -59,6 +60,7 @@
 #include "obs/trace.h"
 #include "runtime/clock.h"
 #include "sql/parser.h"
+#include "task_size_flag.h"
 #include "workloads/cluster_monitoring.h"
 #include "workloads/linear_road.h"
 #include "workloads/smart_grid.h"
@@ -126,11 +128,7 @@ bool ParseArgs(int argc, char** argv, ServerCliOptions* o) {
     } else if (a == "--no-gpu") {
       o->use_gpu = false;
     } else if (a == "--task-size") {
-      o->task_size = static_cast<size_t>(std::atoll(next()));
-      if (o->task_size < 64) {
-        std::fprintf(stderr, "--task-size must be >= 64\n");
-        return false;
-      }
+      if (!ParseTaskSizeFlag(next(), &o->task_size)) return false;
     } else if (a == "--idle-timeout-ms") {
       o->idle_timeout_ms = std::atoi(next());
     } else if (a == "--max-frame") {
