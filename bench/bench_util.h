@@ -120,8 +120,8 @@ inline RunResult Collect(QueryHandle* q, double seconds) {
   r.gpu_bytes = q->bytes_on(Processor::kGpu);
   r.cpu_tasks = q->tasks_on(Processor::kCpu);
   r.gpu_tasks = q->tasks_on(Processor::kGpu);
-  r.p50_latency_us = q->latency().PercentileNanos(50) / 1000;
-  r.p99_latency_us = q->latency().PercentileNanos(99) / 1000;
+  r.p50_latency_us = q->latency().Percentile(50) / 1000;
+  r.p99_latency_us = q->latency().Percentile(99) / 1000;
   return r;
 }
 

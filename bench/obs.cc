@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -14,19 +15,21 @@
 ///  1. Instrument hot path. The migration moved every per-event counter from
 ///     a bare `std::atomic<int64_t>::fetch_add` to `obs::Counter::Increment`
 ///     — by design the very same relaxed fetch_add behind a class. The bench
-///     times both in interleaved repetitions (rep k of A runs next to rep k
-///     of B, so frequency drift hits both) and gates their min-of-reps ratio
-///     at 1.03: the migrated counter may cost at most 3% over the pre-change
-///     representation. Histogram::Record is reported alongside (it is a new
-///     capability, not a migration, so it carries no gate).
+///     times both in many short interleaved repetitions (rep k of A runs
+///     next to rep k of B, so frequency drift hits both) and gates the
+///     median over reps of their per-rep ratio at 1.03: the migrated
+///     counter may cost at most 3% over the pre-change representation.
+///     Histogram::Record is reported alongside (it is a new capability,
+///     not a migration, so it carries no gate).
 ///
 ///  2. Task-path tracing. With `trace_sample_rate = 0` the engine does not
 ///     construct the ring and the per-task cost is one pointer test; the
 ///     bench drives the small-φ scheduling-bound workload of
-///     sched_hot_path.cc at sampling rates {0, 0.01, 1.0} and gates the 1%
-///     rate at >= 80% of the trace-off throughput (the disabled rate is the
-///     baseline — if sampling 1% of tasks costs a fifth of the throughput,
-///     the stamps leaked into the wrong place).
+///     sched_hot_path.cc at sampling rates {0, 0.01, 1.0} in interleaved
+///     repetitions and gates the median over reps of the per-rep 1%/off
+///     throughput ratio at >= 0.80 (the disabled rate is the baseline — if
+///     sampling 1% of tasks costs a fifth of the throughput, the stamps
+///     leaked into the wrong place).
 ///
 /// Flags: --quick (CI-sized run), --check (enforce the gates), --out <path>.
 /// Emits BENCH_obs.json.
@@ -40,39 +43,62 @@ inline void DoNotOptimize(int64_t v) {
 }
 
 struct HotPathResult {
-  double raw_ns = 0;        // std::atomic fetch_add, per op
-  double counter_ns = 0;    // obs::Counter::Increment, per op
-  double histogram_ns = 0;  // obs::Histogram::Record, per op
+  double raw_ns = 0;         // std::atomic fetch_add, per op
+  double counter_ns = 0;     // obs::Counter::Increment, per op
+  double histogram_ns = 0;   // obs::Histogram::Record, per op
+  double counter_ratio = 0;  // counter_ns / raw_ns of the same rep
 };
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 HotPathResult BenchHotPath(int64_t iters, int reps) {
   std::atomic<int64_t> raw{0};
   obs::Counter counter;
-  obs::Histogram hist({1'000, 10'000, 100'000, 1'000'000, 10'000'000});
-  HotPathResult best;
-  best.raw_ns = best.counter_ns = best.histogram_ns = 1e18;
-  // Interleaved: rep k of every contender runs back to back, so thermal /
-  // frequency drift cannot systematically favor one side.
-  for (int rep = 0; rep < reps; ++rep) {
+  obs::Histogram hist;
+  std::vector<double> raw_ns, counter_ns, histogram_ns, ratios;
+  auto per_op = [iters](const Stopwatch& sw) {
+    return static_cast<double>(sw.ElapsedNanos()) / static_cast<double>(iters);
+  };
+  auto time_raw = [&] {
     Stopwatch sw;
     for (int64_t i = 0; i < iters; ++i) raw.fetch_add(1, std::memory_order_relaxed);
-    best.raw_ns = std::min(
-        best.raw_ns, static_cast<double>(sw.ElapsedNanos()) / static_cast<double>(iters));
+    raw_ns.push_back(per_op(sw));
     DoNotOptimize(raw.load());
-
-    sw.Restart();
+  };
+  auto time_counter = [&] {
+    Stopwatch sw;
     for (int64_t i = 0; i < iters; ++i) counter.Increment();
-    best.counter_ns = std::min(
-        best.counter_ns, static_cast<double>(sw.ElapsedNanos()) / static_cast<double>(iters));
+    counter_ns.push_back(per_op(sw));
     DoNotOptimize(counter.value());
-
-    sw.Restart();
+  };
+  // Interleaved: rep k of every contender runs back to back, and the two
+  // gated contenders swap order every rep, so drift and running first
+  // favour neither. The gate takes the median over reps of the ratio within
+  // a rep: a stall on a shared host spoils one pair, which the median
+  // ignores, where a min over each side separately moves with it.
+  for (int rep = 0; rep < reps; ++rep) {
+    if (rep % 2 == 0) {
+      time_raw();
+      time_counter();
+    } else {
+      time_counter();
+      time_raw();
+    }
+    ratios.push_back(counter_ns.back() / raw_ns.back());
+    Stopwatch sw;
     for (int64_t i = 0; i < iters; ++i) hist.Record(i & 0xfffff);
-    best.histogram_ns = std::min(
-        best.histogram_ns, static_cast<double>(sw.ElapsedNanos()) / static_cast<double>(iters));
+    histogram_ns.push_back(per_op(sw));
     DoNotOptimize(hist.sum());
   }
-  return best;
+  HotPathResult r;
+  r.raw_ns = Median(raw_ns);
+  r.counter_ns = Median(counter_ns);
+  r.histogram_ns = Median(histogram_ns);
+  r.counter_ratio = Median(ratios);
+  return r;
 }
 
 double BenchEngine(double trace_rate, const std::vector<uint8_t>& data,
@@ -106,13 +132,12 @@ int Run(int argc, char** argv) {
     }
   }
 
-  const int64_t iters = quick ? 20'000'000 : 100'000'000;
-  const int reps = quick ? 3 : 5;
+  const int64_t iters = quick ? 1'000'000 : 2'000'000;
+  const int reps = quick ? 120 : 300;
   const HotPathResult hot = BenchHotPath(iters, reps);
-  const double counter_ratio =
-      hot.raw_ns > 0 ? hot.counter_ns / hot.raw_ns : 0.0;
+  const double counter_ratio = hot.counter_ratio;
 
-  PrintHeader("instrument hot path (min of interleaved reps)",
+  PrintHeader("instrument hot path (median of interleaved reps)",
               {"op", "ns/op"});
   PrintCell(std::string("atomic fetch_add"));
   PrintCell(hot.raw_ns);
@@ -125,22 +150,29 @@ int Run(int argc, char** argv) {
   EndRow();
   std::printf("counter/raw ratio: %.3f (gate <= 1.03)\n", counter_ratio);
 
-  // Tracing: interleaved best-of-reps across the three sampling rates. Runs
-  // must be long enough that engine start/drain noise does not swamp the
-  // per-task cost under measurement.
+  // Tracing: interleaved reps across the three sampling rates, the order
+  // rotating every rep, gated like the counter on the median over reps of
+  // the per-rep 1%/off ratio. Runs must be long enough that engine
+  // start/drain noise does not swamp the per-task cost under measurement.
   const size_t tuples = quick ? 400'000 : 800'000;
   const int feed_repeats = quick ? 2 : 3;
-  const int engine_reps = 3;
+  const int engine_reps = quick ? 15 : 21;
   const auto data = syn::Generate(tuples);
-  double off = 0, pct1 = 0, full = 0;
+  const double rates[3] = {0.0, 0.01, 1.0};
+  std::vector<double> mtuples[3], trace_ratios;
   for (int rep = 0; rep < engine_reps; ++rep) {
-    off = std::max(off, BenchEngine(0.0, data, feed_repeats));
-    pct1 = std::max(pct1, BenchEngine(0.01, data, feed_repeats));
-    full = std::max(full, BenchEngine(1.0, data, feed_repeats));
+    for (int j = 0; j < 3; ++j) {
+      const int r = (rep + j) % 3;
+      mtuples[r].push_back(BenchEngine(rates[r], data, feed_repeats));
+    }
+    trace_ratios.push_back(mtuples[1].back() / mtuples[0].back());
   }
-  const double trace_ratio = off > 0 ? pct1 / off : 0.0;
+  const double off = Median(mtuples[0]);
+  const double pct1 = Median(mtuples[1]);
+  const double full = Median(mtuples[2]);
+  const double trace_ratio = Median(trace_ratios);
 
-  PrintHeader("task-path tracing (best of interleaved reps)",
+  PrintHeader("task-path tracing (median of interleaved reps)",
               {"sample rate", "Mtuples/s"});
   PrintCell(std::string("off"));
   PrintCell(off);
@@ -172,6 +204,7 @@ int Run(int argc, char** argv) {
   JsonObject meta;
   meta.Int("hot_path_iters", iters)
       .Int("hot_path_reps", reps)
+      .Int("engine_reps", engine_reps)
       .Int("tuples", static_cast<int64_t>(tuples))
       .Bool("quick", quick);
   if (!WriteBenchJson(out, "obs", meta, results)) return 1;

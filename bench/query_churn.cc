@@ -133,7 +133,7 @@ PhaseResult RunPhase(size_t survivor_tuples, int cycles,
   engine.Drain();
 
   r.seconds = wall.ElapsedSeconds();
-  r.survivor_p99_us = survivor->latency().PercentileNanos(99) / 1000;
+  r.survivor_p99_us = survivor->latency().Percentile(99) / 1000;
   r.survivor_dropped = survivor->tuples_dropped();
   r.survivor_tuples = survivor->tuples_in();
   return r;

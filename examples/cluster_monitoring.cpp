@@ -61,12 +61,16 @@ int main() {
     const double gb = static_cast<double>(q->bytes_in()) / (1 << 30);
     const int64_t cpu = q->bytes_on(Processor::kCpu);
     const int64_t gpu = q->bytes_on(Processor::kGpu);
+    const obs::Histogram& lat = q->latency();
     std::printf(
         "%-4s: %6.2f GB in %.2fs = %6.2f GB/s | rows out %-9lld | "
-        "GPGPU share %4.1f%% | latency %s\n",
+        "GPGPU share %4.1f%% | latency count=%lld mean=%.1fus p50=%.1fus "
+        "p99=%.1fus max=%.1fus\n",
         name, gb, secs, gb / secs, static_cast<long long>(q->rows_out()),
         100.0 * gpu / std::max<int64_t>(cpu + gpu, 1),
-        q->latency().Summary().c_str());
+        static_cast<long long>(lat.count()),
+        lat.sum() / 1e3 / static_cast<double>(std::max<int64_t>(lat.count(), 1)),
+        lat.Percentile(50) / 1e3, lat.Percentile(99) / 1e3, lat.max() / 1e3);
   };
   std::printf("\n");
   report("CM1", cm1);

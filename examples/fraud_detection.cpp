@@ -108,10 +108,10 @@ int main() {
   std::printf("...\n");
   std::printf("transactions : %lld\n", static_cast<long long>(q->tuples_in()));
   std::printf("alerts       : %lld\n", static_cast<long long>(alerts));
-  const int64_t p50 = q->latency().PercentileNanos(50) / 1'000'000;
-  const int64_t p90 = q->latency().PercentileNanos(90) / 1'000'000;
-  const int64_t p95 = q->latency().PercentileNanos(95) / 1'000'000;
-  const int64_t p99 = q->latency().PercentileNanos(99) / 1'000'000;
+  const int64_t p50 = q->latency().Percentile(50) / 1'000'000;
+  const int64_t p90 = q->latency().Percentile(90) / 1'000'000;
+  const int64_t p95 = q->latency().Percentile(95) / 1'000'000;
+  const int64_t p99 = q->latency().Percentile(99) / 1'000'000;
   std::printf("latency p50  : %lld ms\n", static_cast<long long>(p50));
   std::printf("latency p90  : %lld ms\n", static_cast<long long>(p90));
   std::printf("latency p95  : %lld ms\n", static_cast<long long>(p95));

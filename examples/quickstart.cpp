@@ -7,6 +7,7 @@
 ///
 /// Build & run:  ./build/examples/quickstart
 
+#include <algorithm>
 #include <cstdio>
 
 #include "core/engine.h"
@@ -63,6 +64,12 @@ int main() {
               static_cast<long long>(q->tasks_on(Processor::kCpu)));
   std::printf("tasks on GPGPU  : %lld\n",
               static_cast<long long>(q->tasks_on(Processor::kGpu)));
-  std::printf("task latency    : %s\n", q->latency().Summary().c_str());
+  const obs::Histogram& lat = q->latency();
+  std::printf(
+      "task latency    : count=%lld mean=%.1fus p50=%.1fus p99=%.1fus "
+      "max=%.1fus\n",
+      static_cast<long long>(lat.count()),
+      lat.sum() / 1e3 / static_cast<double>(std::max<int64_t>(lat.count(), 1)),
+      lat.Percentile(50) / 1e3, lat.Percentile(99) / 1e3, lat.max() / 1e3);
   return 0;
 }

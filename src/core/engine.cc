@@ -35,16 +35,6 @@ IdleCut IdleCutFor(const QueryDef& q) {
   return w.session() || w.unbounded ? IdleCut::kNone : IdleCut::kWindowEnd;
 }
 
-/// Bucket bounds for saber_task_latency_nanos: 100 µs .. 5 s, roughly
-/// 1-2.5-5 per decade. The precise per-query percentiles stay with the
-/// log-linear LatencyHistogram (QueryHandle::latency()); this fixed-bucket
-/// copy is the exposition surface a scraper can aggregate across queries.
-std::vector<int64_t> TaskLatencyBounds() {
-  return {100'000,     250'000,     500'000,       1'000'000,
-          2'500'000,   5'000'000,   10'000'000,    25'000'000,
-          50'000'000,  100'000'000, 250'000'000,   500'000'000,
-          1'000'000'000, 2'500'000'000, 5'000'000'000};
-}
 }  // namespace
 
 thread_local bool Engine::in_worker_thread_ = false;
@@ -137,9 +127,7 @@ struct QueryState {
   obs::Counter rows_out;
   obs::Counter tasks_on[kNumProcessors];
   obs::Counter bytes_on[kNumProcessors];
-  LatencyHistogram latency;
-  /// Fixed-bucket exposition twin of `latency` (see TaskLatencyBounds).
-  obs::Histogram latency_hist{TaskLatencyBounds()};
+  obs::Histogram latency;
   /// Wall clock of the newest insert (any input); the trace span's insert
   /// stage start. Only stamped while tracing is armed.
   std::atomic<int64_t> last_insert_nanos{0};
@@ -211,7 +199,7 @@ int64_t QueryHandle::bytes_on(Processor p) const {
 obs::Labels QueryHandle::metric_labels() const {
   return QueryMetricLabels(*qs_);
 }
-const LatencyHistogram& QueryHandle::latency() const { return qs_->latency; }
+const obs::Histogram& QueryHandle::latency() const { return qs_->latency; }
 
 // ===========================================================================
 // Engine lifecycle.
@@ -418,7 +406,7 @@ void Engine::RegisterQueryMetricsLocked(QueryState& qs) {
                               "Task input bytes executed per processor");
   }
   metrics_->RegisterHistogram(
-      "saber_task_latency_nanos", labels, &qs.latency_hist, this,
+      "saber_task_latency_nanos", labels, &qs.latency, this,
       "End-to-end task latency (dispatch to output emission)");
 }
 
@@ -1398,9 +1386,7 @@ void Engine::TryAssemble(QueryState& qs) {
           }
         }
       }
-      const int64_t task_latency = NowNanos() - result->dispatched_nanos;
-      qs.latency.RecordNanos(task_latency);
-      qs.latency_hist.Record(task_latency);
+      qs.latency.Record(NowNanos() - result->dispatched_nanos);
       if (task->traced && trace_ != nullptr) {
         obs::TaskSpan span;
         span.task_id = task->id;

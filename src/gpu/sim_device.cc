@@ -62,7 +62,6 @@ void SimDevice::Submit(GpuJob* job) {
     // pipeline entirely and deliver the failure through the normal copyout
     // completion path, so callers need no second error channel.
     job->failed = true;
-    stats_.submit_rejects.fetch_add(1, std::memory_order_relaxed);
     to_copyout_.Push(job);
     return;
   }
@@ -80,7 +79,6 @@ void SimDevice::CopyinLoop() {
     auto job = to_copyin_.Pop();
     if (!job.has_value()) return;
     GpuJob& j = **job;
-    const int64_t t0 = NowNanos();
     size_t total = 0;
     for (int i = 0; i < j.num_spans; ++i) total += j.host_input[i].total();
     j.pinned_in.Resize(total);
@@ -94,7 +92,6 @@ void SimDevice::CopyinLoop() {
         off += sp.len2;
       }
     }
-    stats_.copyin_nanos.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
     to_movein_.Push(*job);
   }
 }
@@ -119,7 +116,6 @@ void SimDevice::MoveinLoop() {
     }
     stats_.bytes_in.fetch_add(static_cast<int64_t>(j.pinned_in.size()),
                               std::memory_order_relaxed);
-    stats_.movein_nanos.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
     to_execute_.Push(*job);
   }
 }
@@ -145,7 +141,6 @@ void SimDevice::ExecuteLoop() {
     if (options_.pace_transfers) {
       PaceNanos(t0, options_.launch_overhead_nanos);
     }
-    stats_.execute_nanos.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
     to_moveout_.Push(*job);
   }
 }
@@ -178,7 +173,6 @@ void SimDevice::MoveoutLoop() {
     }
     stats_.bytes_out.fetch_add(static_cast<int64_t>(payload),
                                std::memory_order_relaxed);
-    stats_.moveout_nanos.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
     to_copyout_.Push(*job);
   }
 }
@@ -191,13 +185,11 @@ void SimDevice::CopyoutLoop() {
     auto job = to_copyout_.Pop();
     if (!job.has_value()) return;
     GpuJob& j = **job;
-    const int64_t t0 = NowNanos();
     TaskResult* r = j.result;
     if (j.failed) {
       // No payload to copy out; tell the submitter the device failed the
       // task so it can retry elsewhere.
       if (r != nullptr) r->device_failed = true;
-      stats_.jobs_failed.fetch_add(1, std::memory_order_relaxed);
     } else {
       r->complete.Clear();
       r->partials.Clear();
@@ -209,7 +201,6 @@ void SimDevice::CopyoutLoop() {
       r->axis_q = j.axis_q;
       stats_.jobs.fetch_add(1, std::memory_order_relaxed);
     }
-    stats_.copyout_nanos.fetch_add(NowNanos() - t0, std::memory_order_relaxed);
     // Move the callback out before invoking it: on_complete conventionally
     // calls ReleaseJob, after which the slot can be re-acquired and its
     // members (including on_complete itself) overwritten by another thread

@@ -135,18 +135,10 @@ class SimDevice {
   void ParallelFor(size_t n, const std::function<void(size_t, size_t)>& fn);
 
   struct Stats {
+    /// Jobs that completed without a failure.
     std::atomic<int64_t> jobs{0};
-    /// Jobs that reached copyout in the failed state (injected faults).
-    std::atomic<int64_t> jobs_failed{0};
-    /// Failed jobs that never entered the pipeline (gpu.submit_reject).
-    std::atomic<int64_t> submit_rejects{0};
     std::atomic<int64_t> bytes_in{0};
     std::atomic<int64_t> bytes_out{0};
-    std::atomic<int64_t> copyin_nanos{0};
-    std::atomic<int64_t> movein_nanos{0};
-    std::atomic<int64_t> execute_nanos{0};
-    std::atomic<int64_t> moveout_nanos{0};
-    std::atomic<int64_t> copyout_nanos{0};
   };
   const Stats& stats() const { return stats_; }
 

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,15 @@ enum class LatePolicy : uint8_t {
   /// when no sink is configured (the count still lands in dead_lettered).
   kDeadLetter,
 };
+
+/// The disorder horizon `max_seen − lateness` (lateness >= 0), below which
+/// a tuple is late: clamped at INT64_MIN instead of overflowing, so a shard
+/// with nothing seen yet (max_seen == INT64_MIN) has no late tuples. The
+/// ingress reorder buffers and the network server's late check share it.
+inline int64_t HorizonOf(int64_t max_seen, int64_t lateness) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  return (max_seen < kMin + lateness) ? kMin : max_seen - lateness;
+}
 
 /// Side sink for kDeadLetter tuples. Runs on the *producer's* thread, once
 /// per late tuple, before Append returns; it must not call back into the

@@ -11,17 +11,6 @@
 
 namespace saber::ingest {
 
-namespace {
-
-/// `max_seen − lateness` without signed underflow (lateness >= 0): the
-/// disorder horizon below which a tuple is late, clamped at INT64_MIN.
-int64_t HorizonOf(int64_t max_seen, int64_t lateness) {
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  return (max_seen < kMin + lateness) ? kMin : max_seen - lateness;
-}
-
-}  // namespace
-
 bool ProducerHandle::Append(const void* tuples, size_t bytes) {
   if (closed_.load(std::memory_order_relaxed)) {
     std::fprintf(stderr,

@@ -34,20 +34,21 @@ Status SetNonBlocking(int fd, bool nonblocking) {
 }
 
 /// Index of the first tuple whose timestamp falls below the shard's
-/// disorder horizon `max_seen − lateness`, or −1. Advances *max_seen.
-/// This is the server-side stand-in for the ingress's kAbort policy: same
-/// contract, but the verdict is a kError frame + connection teardown
-/// instead of a process abort a remote peer could trigger at will.
+/// disorder horizon (ingest::HorizonOf), or −1. Advances *max_seen, which
+/// starts at INT64_MIN. This is the server-side stand-in for the ingress's
+/// kAbort policy: same contract, but the verdict is a kError frame +
+/// connection teardown instead of a process abort a remote peer could
+/// trigger at will.
 int64_t FirstLateViolation(const uint8_t* tuples, size_t bytes, size_t tsz,
                            int64_t lateness, int64_t* max_seen) {
   const size_t n = bytes / tsz;
   for (size_t i = 0; i < n; ++i) {
     int64_t ts;
     std::memcpy(&ts, tuples + i * tsz, sizeof(ts));
-    if (*max_seen != INT64_MIN && ts < *max_seen - lateness) {
+    if (ts < ingest::HorizonOf(*max_seen, lateness)) {
       return static_cast<int64_t>(i);
     }
-    if (ts > *max_seen || *max_seen == INT64_MIN) *max_seen = ts;
+    *max_seen = std::max(*max_seen, ts);
   }
   return -1;
 }

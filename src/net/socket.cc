@@ -205,12 +205,29 @@ Status WriteFull(int fd, const void* buf, size_t len) {
   const uint8_t* p = static_cast<const uint8_t*>(buf);
   size_t sent = 0;
   while (sent < len) {
-    const ssize_t n = ::send(fd, p + sent, len - sent, MSG_NOSIGNAL);
+    const ssize_t n =
+        ::send(fd, p + sent, len - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      // A blocking send would not notice the peer's FIN: against a closed
+      // peer with a zero window it waits until the kernel gives up on the
+      // connection, minutes later. Wait for room or for the FIN instead.
+      pollfd pfd{};
+      pfd.fd = fd;
+      pfd.events = POLLOUT | POLLRDHUP;
+      const int pr = ::poll(&pfd, 1, -1);
+      if (pr < 0 && errno != EINTR) return Status::IOError(Errno("poll"));
+      if ((pfd.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0) {
+        return Status::IOError(StrCat("peer closed the connection with ",
+                                      len - sent, " of ", len,
+                                      " bytes unsent"));
+      }
+      continue;
+    }
     return Status::IOError(Errno("send"));
   }
   return Status::OK();

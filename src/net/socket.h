@@ -71,7 +71,9 @@ Status SetNoDelay(int fd);
 Status ReadFull(int fd, void* buf, size_t len);
 
 /// Writes exactly `len` bytes (MSG_NOSIGNAL — a dead peer surfaces as
-/// IOError, never SIGPIPE).
+/// IOError, never SIGPIPE). While a write would block, a peer that has
+/// closed (FIN, hang-up or socket error) fails it with IOError at once
+/// instead of leaving it blocked against a zero window.
 Status WriteFull(int fd, const void* buf, size_t len);
 
 /// One frame: header + payload in a single buffered write.

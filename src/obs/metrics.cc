@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 
 #include "runtime/status.h"
@@ -8,34 +9,53 @@
 
 namespace saber::obs {
 
-Histogram::Histogram(std::vector<int64_t> bounds)
-    : bounds_(std::move(bounds)),
-      counts_(new std::atomic<int64_t>[bounds_.size() + 1]) {
-  SABER_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()));
-  for (size_t i = 0; i <= bounds_.size(); ++i) counts_[i].store(0);
+int64_t Histogram::BucketUpperBound(size_t i) {
+  if (i < kSubBuckets) return static_cast<int64_t>(i);
+  const size_t octave = i / kSubBuckets;
+  const size_t sub = i % kSubBuckets;
+  // Inverse of BucketIndex: the bucket holds values in
+  // [(16+sub) << (octave-1), (16+sub+1) << (octave-1)), so its largest
+  // value is one below the next bucket's base.
+  return static_cast<int64_t>(((kSubBuckets + sub + 1) << (octave - 1)) - 1);
 }
 
 int64_t Histogram::count() const {
   int64_t total = 0;
-  for (size_t i = 0; i <= bounds_.size(); ++i) {
-    total += counts_[i].load(std::memory_order_relaxed);
-  }
+  for (const auto& c : counts_) total += c.load(std::memory_order_relaxed);
   return total;
 }
 
+int64_t Histogram::Percentile(double p) const {
+  std::vector<int64_t> counts(kNumBuckets);
+  for (size_t i = 0; i < kNumBuckets; ++i) counts[i] = bucket_count(i);
+  return Percentile(counts, max(), p);
+}
+
+int64_t Histogram::Percentile(const std::vector<int64_t>& bucket_counts,
+                              int64_t max, double p) {
+  int64_t total = 0;
+  for (int64_t c : bucket_counts) total += c;
+  if (total == 0) return 0;
+  int64_t rank = static_cast<int64_t>(std::ceil(p / 100.0 * total));
+  if (rank < 1) rank = 1;
+  int64_t seen = 0;
+  for (size_t i = 0; i < bucket_counts.size(); ++i) {
+    seen += bucket_counts[i];
+    if (seen >= rank) return std::min(BucketUpperBound(i), max);
+  }
+  return max;
+}
+
 MetricsRegistry::Family* MetricsRegistry::GetFamilyLocked(
-    std::string_view name, MetricType type, std::string_view help,
-    const std::vector<int64_t>* bounds) {
+    std::string_view name, MetricType type, std::string_view help) {
   auto it = families_.find(name);
   if (it == families_.end()) {
     Family f;
     f.type = type;
     f.help = std::string(help);
-    if (bounds != nullptr) f.bounds = *bounds;
     it = families_.emplace(std::string(name), std::move(f)).first;
   } else {
     SABER_CHECK(it->second.type == type);  // name ↔ type is a global contract
-    if (bounds != nullptr) SABER_CHECK(it->second.bounds == *bounds);
     if (it->second.help.empty() && !help.empty()) {
       it->second.help = std::string(help);
     }
@@ -57,7 +77,7 @@ MetricsRegistry::Series* MetricsRegistry::GetSeriesLocked(Family* family,
 Counter* MetricsRegistry::GetCounter(std::string_view name, Labels labels,
                                      std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kCounter, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kCounter, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(s->ext_counter == nullptr);  // already an external view
   if (!s->counter) s->counter = std::make_unique<Counter>();
@@ -67,22 +87,11 @@ Counter* MetricsRegistry::GetCounter(std::string_view name, Labels labels,
 Gauge* MetricsRegistry::GetGauge(std::string_view name, Labels labels,
                                  std::string_view help) {
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kGauge, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kGauge, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(s->ext_gauge == nullptr);
   if (!s->gauge) s->gauge = std::make_unique<Gauge>();
   return s->gauge.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(std::string_view name,
-                                         std::vector<int64_t> bounds,
-                                         Labels labels, std::string_view help) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kHistogram, help, &bounds);
-  Series* s = GetSeriesLocked(f, std::move(labels));
-  SABER_CHECK(s->ext_histogram == nullptr);
-  if (!s->histogram) s->histogram = std::make_unique<Histogram>(bounds);
-  return s->histogram.get();
 }
 
 void MetricsRegistry::RegisterCounter(std::string_view name, Labels labels,
@@ -90,7 +99,7 @@ void MetricsRegistry::RegisterCounter(std::string_view name, Labels labels,
                                       std::string_view help) {
   SABER_CHECK(c != nullptr && owner != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kCounter, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kCounter, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(!s->counter);  // owned and external views must not collide
   s->ext_counter = c;
@@ -102,7 +111,7 @@ void MetricsRegistry::RegisterGauge(std::string_view name, Labels labels,
                                     std::string_view help) {
   SABER_CHECK(g != nullptr && owner != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f = GetFamilyLocked(name, MetricType::kGauge, help, nullptr);
+  Family* f = GetFamilyLocked(name, MetricType::kGauge, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
   SABER_CHECK(!s->gauge);
   s->ext_gauge = g;
@@ -114,10 +123,8 @@ void MetricsRegistry::RegisterHistogram(std::string_view name, Labels labels,
                                         std::string_view help) {
   SABER_CHECK(h != nullptr && owner != nullptr);
   std::lock_guard<std::mutex> lock(mu_);
-  Family* f =
-      GetFamilyLocked(name, MetricType::kHistogram, help, &h->bounds());
+  Family* f = GetFamilyLocked(name, MetricType::kHistogram, help);
   Series* s = GetSeriesLocked(f, std::move(labels));
-  SABER_CHECK(!s->histogram);
   s->ext_histogram = h;
   s->owner = owner;
 }
@@ -163,7 +170,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     fs.name = name;
     fs.help = family.help;
     fs.type = family.type;
-    fs.bounds = family.bounds;
     fs.series.resize(family.series.size());
     // The single pass of the consistency contract: every atomic of this
     // family is loaded exactly once, back to back, with the labels copied
@@ -180,14 +186,13 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
           out.gauge_value = s.gauge ? s.gauge->value() : s.ext_gauge->value();
           break;
         case MetricType::kHistogram: {
-          const Histogram* h =
-              s.histogram ? s.histogram.get() : s.ext_histogram;
-          const size_t n = family.bounds.size() + 1;
-          out.bucket_counts.resize(n);
-          for (size_t b = 0; b < n; ++b) {
+          const Histogram* h = s.ext_histogram;
+          out.bucket_counts.resize(Histogram::kNumBuckets);
+          for (size_t b = 0; b < Histogram::kNumBuckets; ++b) {
             out.bucket_counts[b] = h->bucket_count(b);
           }
           out.sum = h->sum();
+          out.max = h->max();
           for (int64_t c : out.bucket_counts) out.count += c;
           break;
         }
@@ -248,6 +253,12 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+/// The exposition's histogram buckets: one `le` per octave edge 2^k - 1
+/// for k in [kFirstExpositionOctave, kLastExpositionOctave] (65.5 µs ..
+/// 8.6 s in nanoseconds).
+constexpr int kFirstExpositionOctave = 16;
+constexpr int kLastExpositionOctave = 33;
+
 const char* TypeName(MetricType t) {
   switch (t) {
     case MetricType::kCounter:
@@ -306,19 +317,26 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
           out += '\n';
           break;
         case MetricType::kHistogram: {
+          // Cumulative count of the fine buckets below `end`, as `le`.
           int64_t cumulative = 0;
-          for (size_t b = 0; b < s.bucket_counts.size(); ++b) {
-            cumulative += s.bucket_counts[b];
-            const std::string le = b < f.bounds.size()
-                                       ? StrCat(f.bounds[b])
-                                       : kInf;
+          size_t b = 0;
+          auto bucket_line = [&](size_t end, const std::string& le) {
+            for (; b < end; ++b) cumulative += s.bucket_counts[b];
             out += f.name;
             out += "_bucket";
             AppendLabels(&out, s.labels, &kLe, &le);
             out += ' ';
             out += StrCat(cumulative);
             out += '\n';
+          };
+          for (int k = kFirstExpositionOctave; k <= kLastExpositionOctave;
+               ++k) {
+            // 2^k opens a bucket, so the buckets below it hold exactly the
+            // values <= 2^k - 1.
+            bucket_line(Histogram::BucketIndex(uint64_t{1} << k),
+                        StrCat((int64_t{1} << k) - 1));
           }
+          bucket_line(s.bucket_counts.size(), kInf);
           out += f.name;
           out += "_sum";
           AppendLabels(&out, s.labels);
@@ -338,26 +356,6 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot) {
   }
   return out;
 }
-
-namespace {
-
-/// Percentile estimate from fixed buckets: the upper bound of the bucket
-/// that crosses the rank (+Inf reports the last finite bound).
-int64_t BucketPercentile(const FamilySnapshot& f, const SeriesSnapshot& s,
-                         double q) {
-  if (s.count == 0) return 0;
-  const int64_t rank = static_cast<int64_t>(q * static_cast<double>(s.count));
-  int64_t seen = 0;
-  for (size_t b = 0; b < s.bucket_counts.size(); ++b) {
-    seen += s.bucket_counts[b];
-    if (seen > rank) {
-      return b < f.bounds.size() ? f.bounds[b] : f.bounds.back();
-    }
-  }
-  return f.bounds.empty() ? 0 : f.bounds.back();
-}
-
-}  // namespace
 
 std::string FormatMetricsSummary(const MetricsSnapshot& snapshot,
                                  std::string_view line_prefix) {
@@ -386,9 +384,10 @@ std::string FormatMetricsSummary(const MetricsSnapshot& snapshot,
           out += FormatDouble(s.gauge_value);
           break;
         case MetricType::kHistogram:
-          out += StrCat("count=", s.count, " p50<=",
-                        BucketPercentile(f, s, 0.50), " p99<=",
-                        BucketPercentile(f, s, 0.99));
+          out += StrCat("count=", s.count, " p50=",
+                        Histogram::Percentile(s.bucket_counts, s.max, 50),
+                        " p99=",
+                        Histogram::Percentile(s.bucket_counts, s.max, 99));
           break;
       }
       out += '\n';

@@ -16,7 +16,7 @@
 /// engine, ingestion stage, network front end and fault registry used to
 /// keep in ad-hoc per-subsystem structs.
 ///
-/// Instruments — counters, gauges, fixed-bucket histograms — are registered
+/// Instruments — counters, gauges, log-linear histograms — are registered
 /// by (name, labels) and live for the registry's lifetime; registration
 /// returns a stable pointer, so the hot path never touches the registry
 /// again. A counter increment compiles to a single relaxed atomic add on the
@@ -94,33 +94,63 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: `bounds` are inclusive upper bounds in ascending
-/// order; one implicit +Inf bucket catches the rest. Record is two relaxed
-/// adds (bucket + sum); the count is derived from the buckets at snapshot
-/// time so it can never disagree with their total.
+/// Log-linear histogram (HdrHistogram-style, coarse): 16 linear sub-buckets
+/// per octave over 44 octaves, so any value is off by at most one
+/// sub-bucket (1/16). Negative values record as 0; values past the last
+/// octave land in the last bucket. Record is two relaxed adds (bucket +
+/// sum) plus a max update; the count is derived from the buckets, so it
+/// can never disagree with their total.
 class Histogram {
  public:
-  explicit Histogram(std::vector<int64_t> bounds);
+  static constexpr int kSubBuckets = 16;
+  static constexpr int kOctaves = 44;
+  static constexpr size_t kNumBuckets = size_t{kOctaves} * kSubBuckets;
 
   void Record(int64_t value) {
-    size_t i = 0;
-    while (i < bounds_.size() && value > bounds_[i]) ++i;
-    counts_[i].fetch_add(1, std::memory_order_relaxed);
+    if (value < 0) value = 0;
+    counts_[BucketIndex(static_cast<uint64_t>(value))].fetch_add(
+        1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
+    int64_t prev = max_.load(std::memory_order_relaxed);
+    while (value > prev &&
+           !max_.compare_exchange_weak(prev, value,
+                                       std::memory_order_relaxed)) {
+    }
   }
 
-  const std::vector<int64_t>& bounds() const { return bounds_; }
-  /// Non-cumulative count of bucket `i` (i == bounds().size() is +Inf).
+  /// Non-cumulative count of bucket `i` < kNumBuckets.
   int64_t bucket_count(size_t i) const {
     return counts_[i].load(std::memory_order_relaxed);
   }
   int64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  int64_t max() const { return max_.load(std::memory_order_relaxed); }
   int64_t count() const;
 
+  /// Value at percentile `p` in [0, 100]: the upper bound of the bucket
+  /// holding rank ceil(p/100 * count) (at least 1), clamped to the observed
+  /// maximum, since a bucket's upper bound can exceed every value in it.
+  /// 0 when empty.
+  int64_t Percentile(double p) const;
+  /// The same rule over snapshot counts (SeriesSnapshot::bucket_counts).
+  static int64_t Percentile(const std::vector<int64_t>& bucket_counts,
+                            int64_t max, double p);
+
+  static size_t BucketIndex(uint64_t v) {
+    if (v < kSubBuckets) return static_cast<size_t>(v);
+    const int msb = 63 - __builtin_clzll(v);
+    // Octave msb - 3 (values below 16 are handled above), sub-bucket from
+    // the four bits below the leading one.
+    const uint64_t sub = (v >> (msb - 4)) & (kSubBuckets - 1);
+    const size_t idx = static_cast<size_t>(msb - 3) * kSubBuckets + sub;
+    return idx < kNumBuckets ? idx : kNumBuckets - 1;
+  }
+  /// The largest value bucket `i` holds.
+  static int64_t BucketUpperBound(size_t i);
+
  private:
-  const std::vector<int64_t> bounds_;
-  std::unique_ptr<std::atomic<int64_t>[]> counts_;  // bounds_.size() + 1
+  std::atomic<int64_t> counts_[kNumBuckets] = {};
   std::atomic<int64_t> sum_{0};
+  std::atomic<int64_t> max_{0};
 };
 
 enum class MetricType { kCounter, kGauge, kHistogram };
@@ -133,13 +163,13 @@ struct SeriesSnapshot {
   std::vector<int64_t> bucket_counts;      // kHistogram, non-cumulative
   int64_t sum = 0;                         // kHistogram
   int64_t count = 0;                       // kHistogram
+  int64_t max = 0;                         // kHistogram
 };
 
 struct FamilySnapshot {
   std::string name;
   std::string help;
   MetricType type = MetricType::kCounter;
-  std::vector<int64_t> bounds;  // histogram bucket upper bounds
   std::vector<SeriesSnapshot> series;
 };
 
@@ -157,16 +187,13 @@ class MetricsRegistry {
 
   /// Get-or-create. The same (name, labels) always returns the same
   /// instrument pointer (stable for the registry's lifetime); re-registering
-  /// a name with a different metric type (or different histogram bounds)
-  /// aborts — metric names are a global contract, not per-caller state.
+  /// a name with a different metric type aborts — metric names are a global contract, not per-caller state.
   /// Counter names end in `_total` by convention (the exposition linter
   /// enforces it).
   Counter* GetCounter(std::string_view name, Labels labels = {},
                       std::string_view help = "");
   Gauge* GetGauge(std::string_view name, Labels labels = {},
                   std::string_view help = "");
-  Histogram* GetHistogram(std::string_view name, std::vector<int64_t> bounds,
-                          Labels labels = {}, std::string_view help = "");
 
   /// Registers a view over an instrument owned by `owner` (a query state, an
   /// ingress shard, the network server). Same name↔type contract as the
@@ -211,7 +238,6 @@ class MetricsRegistry {
     Labels labels;
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     // External view (exactly one of owned/external is set per series).
     const Counter* ext_counter = nullptr;
     const Gauge* ext_gauge = nullptr;
@@ -221,7 +247,6 @@ class MetricsRegistry {
   struct Family {
     MetricType type = MetricType::kCounter;
     std::string help;
-    std::vector<int64_t> bounds;
     std::vector<Series> series;  // registration order; small, linear scans
   };
   struct CollectorEntry {
@@ -230,8 +255,7 @@ class MetricsRegistry {
   };
 
   Family* GetFamilyLocked(std::string_view name, MetricType type,
-                          std::string_view help,
-                          const std::vector<int64_t>* bounds);
+                          std::string_view help);
   Series* GetSeriesLocked(Family* family, Labels&& labels);
 
   mutable std::mutex mu_;
@@ -242,7 +266,10 @@ class MetricsRegistry {
 
 /// Renders a snapshot in the Prometheus text exposition format (version
 /// 0.0.4): `# HELP` / `# TYPE` per family, `_bucket{le=...}`/`_sum`/`_count`
-/// expansion for histograms, label-value escaping per the spec.
+/// expansion for histograms, label-value escaping per the spec. A histogram
+/// gets one `le` per octave, 2^k - 1 for k = 16..33 (65.5 µs .. 8.6 s in
+/// nanoseconds), then `+Inf`; octave edges are sub-bucket edges, so every
+/// cumulative count is exact.
 std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
 
 /// Human-readable one-line-per-series formatter shared by the saber_server
@@ -251,8 +278,8 @@ std::string RenderPrometheusText(const MetricsSnapshot& snapshot);
 /// second bookkeeping path. Zero-valued series are elided unless the family
 /// carries a non-zero sibling, so steady-state output stays short while
 /// recovery counters (retries, reconnects, watchdog trips) become visible
-/// the moment they fire. Histograms render as count/p50/p99 estimated from
-/// the bucket bounds.
+/// the moment they fire. Histograms render as count/p50/p99, the p50/p99
+/// being what Histogram::Percentile returns for the series.
 std::string FormatMetricsSummary(const MetricsSnapshot& snapshot,
                                  std::string_view line_prefix = "");
 

@@ -291,7 +291,7 @@ TEST(Engine, LatencyIsRecorded) {
   q->Insert(stream.data(), stream.size());
   engine.Drain();
   EXPECT_GT(q->latency().count(), 0);
-  EXPECT_GT(q->latency().mean_nanos(), 0.0);
+  EXPECT_GT(q->latency().sum(), 0);
 }
 
 TEST(Engine, DrainWithNoDataIsClean) {

@@ -156,7 +156,7 @@ TEST(QueryLifecycle, RemovalMidStreamLeavesSurvivorExact) {
   EXPECT_EQ(engine.num_live_queries(), 1u);
   // The removed handle's statistics are frozen but readable.
   EXPECT_GE(victim_out_bytes.load(), 0);
-  (void)qv->latency().PercentileNanos(99);
+  (void)qv->latency().Percentile(99);
 }
 
 TEST(QueryLifecycle, RemovalDeliversIngressStagedData) {

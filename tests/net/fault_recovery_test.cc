@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -12,6 +13,7 @@
 #include "fault/fault_registry.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/socket.h"
 #include "sql/parser.h"
 #include "workloads/sharding.h"
 #include "workloads/synthetic.h"
@@ -27,7 +29,8 @@
 ///    kError, never a hang;
 ///  - stale or unknown resume tokens are rejected;
 ///  - the front end can be stopped and a fresh server started on the
-///    same live engine (restart with a subscriber attached).
+///    same live engine (restart with a subscriber attached);
+///  - a producer blocked on a full window notices the server's FIN.
 
 namespace saber {
 namespace {
@@ -442,6 +445,36 @@ TEST_F(FaultRecoveryTest, ServerRestartOnLiveEngineWithSubscriber) {
   ASSERT_EQ(expect.size(), out.size());
   EXPECT_EQ(std::memcmp(expect.data(), out.data(), expect.size()), 0)
       << "restarted front end perturbed the query output";
+}
+
+TEST(SocketWrite, PeerFinFailsABlockedWriteInsteadOfHanging) {
+  // The state a stopped server leaves an abandoned producer in: the server
+  // reads nothing more, so the producer's window closes, and it has sent
+  // its FIN but still holds the socket, so no RST ever arrives. A blocking
+  // send waits here until the kernel gives up on the peer, minutes later.
+  auto listener = net::ListenOn("127.0.0.1", 0, 1);
+  ASSERT_TRUE(listener.ok()) << listener.status().ToString();
+  const int small = 64 << 10;  // small buffers: a few MiB fill the pipe
+  ASSERT_EQ(::setsockopt(listener.value().fd(), SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof(small)),
+            0);
+  auto port = net::LocalPort(listener.value().fd());
+  ASSERT_TRUE(port.ok());
+  auto producer = net::Dial("127.0.0.1", port.value());
+  ASSERT_TRUE(producer.ok()) << producer.status().ToString();
+  ASSERT_EQ(::setsockopt(producer.value().fd(), SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  net::Socket server(::accept(listener.value().fd(), nullptr, nullptr));
+  ASSERT_TRUE(server.valid());
+  ASSERT_EQ(::shutdown(server.fd(), SHUT_WR), 0);
+
+  const std::vector<uint8_t> frame(16 << 20);
+  const Status s =
+      net::WriteFull(producer.value().fd(), frame.data(), frame.size());
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+  EXPECT_NE(s.message().find("peer closed"), std::string::npos)
+      << s.ToString();
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
@@ -424,6 +425,32 @@ TEST_F(ProtocolBattery, LateTupleUnderAbortSemanticsIsErrorNotCrash) {
     msg = p.value().LastServerError().message();
   }
   EXPECT_NE(msg.find("late tuple"), std::string::npos) << sent.ToString();
+  EXPECT_TRUE(control_.Remove(id).ok());
+  ExpectHealthy();
+}
+
+TEST_F(ProtocolBattery, InOrderTuplesNearInt64MinPassTheLateCheck) {
+  // The late check compares each timestamp with `max_seen − lateness`;
+  // near INT64_MIN that difference must clamp, not overflow (the asan
+  // preset's UBSan stops the server on a signed overflow).
+  StartServer();
+  const uint32_t id = SubmitQuery();
+  const size_t tsz = syn::SyntheticSchema().tuple_size();
+  DataHello hello;
+  hello.query_id = id;
+  hello.tuple_size = static_cast<uint32_t>(tsz);
+  hello.allowed_lateness = 10;
+  hello.late_policy = 0;  // kAbort semantics: the server's own late check
+  auto p = net::ProducerClient::Connect("127.0.0.1", server_->port(), hello);
+  ASSERT_TRUE(p.ok()) << p.status().ToString();
+  std::vector<uint8_t> tuples(2 * tsz, 0);
+  for (int i = 0; i < 2; ++i) {
+    const int64_t ts = std::numeric_limits<int64_t>::min() + 5 + i;
+    std::memcpy(tuples.data() + i * tsz, &ts, sizeof(ts));
+  }
+  ASSERT_TRUE(p.value().Send(tuples.data(), tuples.size()).ok());
+  ASSERT_TRUE(p.value().End().ok());
+  EXPECT_TRUE(control_.Drain(id).ok());
   EXPECT_TRUE(control_.Remove(id).ok());
   ExpectHealthy();
 }

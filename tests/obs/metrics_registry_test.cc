@@ -10,7 +10,7 @@
 /// \file metrics_registry_test.cc
 /// The unified metrics registry: get-or-create identity and label dedup,
 /// exact counting under concurrent increments, histogram bucket boundary
-/// semantics, the external-instrument register/unregister/repoint lifecycle,
+/// semantics and octave exposition, the external-instrument register/unregister/repoint lifecycle,
 /// collectors, snapshots under registration churn, and the two formatters
 /// (Prometheus text exposition, human summary).
 
@@ -74,52 +74,112 @@ TEST(MetricsRegistry, ConcurrentIncrementsAreExact) {
 }
 
 TEST(MetricsRegistry, HistogramBucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({10, 20});
-  h.Record(-5);  // below everything -> first bucket
-  h.Record(10);  // boundary is inclusive
-  h.Record(11);
-  h.Record(20);
-  h.Record(21);  // past the last bound -> +Inf bucket
-  EXPECT_EQ(h.bucket_count(0), 2);
-  EXPECT_EQ(h.bucket_count(1), 2);
-  EXPECT_EQ(h.bucket_count(2), 1);
-  EXPECT_EQ(h.count(), 5);
-  EXPECT_EQ(h.sum(), -5 + 10 + 11 + 20 + 21);
+  // Below 16 every value has its own bucket; above, each octave [2^k,
+  // 2^(k+1)) splits into 16 sub-buckets whose upper bounds are inclusive.
+  for (uint64_t v = 0; v < 16; ++v) {
+    EXPECT_EQ(Histogram::BucketIndex(v), v);
+    EXPECT_EQ(Histogram::BucketUpperBound(v), static_cast<int64_t>(v));
+  }
+  for (int k = 4; k < 47; ++k) {
+    const uint64_t edge = uint64_t{1} << k;
+    const size_t below = Histogram::BucketIndex(edge - 1);
+    EXPECT_EQ(Histogram::BucketIndex(edge), below + 1) << "k=" << k;
+    EXPECT_EQ(Histogram::BucketUpperBound(below),
+              static_cast<int64_t>(edge - 1))
+        << "k=" << k;
+  }
+  // Past the last octave everything lands in the last bucket.
+  EXPECT_EQ(Histogram::BucketIndex(uint64_t{1} << 62),
+            Histogram::kNumBuckets - 1);
+
+  Histogram h;
+  h.Record(-5);  // clamps to 0
+  h.Record(15);
+  h.Record(32);
+  h.Record(33);  // the octave [32, 64) has 2-ns sub-buckets: [32, 33]
+  EXPECT_EQ(h.bucket_count(0), 1);
+  EXPECT_EQ(h.bucket_count(15), 1);
+  EXPECT_EQ(h.bucket_count(32), 2);
+  EXPECT_EQ(Histogram::BucketUpperBound(32), 33);
+  EXPECT_EQ(h.count(), 4);
+  EXPECT_EQ(h.sum(), 0 + 15 + 32 + 33);
+  EXPECT_EQ(h.max(), 33);
 }
 
 TEST(MetricsRegistry, HistogramFamilyRejectsNothingAndSnapshotsCumulate) {
   MetricsRegistry reg;
-  Histogram* h =
-      reg.GetHistogram("saber_test_lat_nanos", {100, 1000}, {{"q", "0"}});
-  h->Record(50);
-  h->Record(500);
-  h->Record(5000);
+  const int owner = 0;
+  Histogram h;
+  reg.RegisterHistogram("saber_test_lat_nanos", {{"q", "0"}}, &h, &owner);
+  // Samples on both sides of three exposition edges 2^k - 1, one below
+  // the first edge and one past the last.
+  const std::vector<int64_t> samples = {
+      100,                   // le 65535
+      (1 << 16) - 1,         // le 65535: the edge itself
+      1 << 16,               // le 131071
+      (1 << 20) - 1,         // le 1048575
+      1 << 20,               // le 2097151
+      (int64_t{1} << 33) - 1,  // le 8589934591
+      int64_t{1} << 33,      // +Inf only
+  };
+  int64_t sum = 0;
+  for (int64_t v : samples) {
+    h.Record(v);
+    sum += v;
+  }
   const MetricsSnapshot snap = reg.Snapshot();
   ASSERT_EQ(snap.families.size(), 1u);
   const FamilySnapshot& f = snap.families[0];
   EXPECT_EQ(f.type, MetricType::kHistogram);
   ASSERT_EQ(f.series.size(), 1u);
-  EXPECT_EQ(f.series[0].count, 3);
-  EXPECT_EQ(f.series[0].sum, 5550);
-  ASSERT_EQ(f.series[0].bucket_counts.size(), 3u);
-  EXPECT_EQ(f.series[0].bucket_counts[0], 1);
-  EXPECT_EQ(f.series[0].bucket_counts[1], 1);
-  EXPECT_EQ(f.series[0].bucket_counts[2], 1);
+  EXPECT_EQ(f.series[0].count, 7);
+  EXPECT_EQ(f.series[0].sum, sum);
+  EXPECT_EQ(f.series[0].max, int64_t{1} << 33);
+  ASSERT_EQ(f.series[0].bucket_counts.size(), Histogram::kNumBuckets);
 
-  // The text exposition renders cumulative buckets plus _sum/_count.
+  // The text exposition renders cumulative octave buckets plus _sum/_count;
+  // every count is exact because octave edges are sub-bucket edges.
   const std::string text = RenderPrometheusText(snap);
   EXPECT_NE(text.find("# TYPE saber_test_lat_nanos histogram"),
             std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"100\"} 1"),
+  auto bucket = [](const std::string& le, int64_t cumulative) {
+    return "saber_test_lat_nanos_bucket{q=\"0\",le=\"" + le + "\"} " +
+           std::to_string(cumulative) + "\n";
+  };
+  EXPECT_NE(text.find(bucket("65535", 2)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("131071", 3)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("524287", 3)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("1048575", 4)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("2097151", 5)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("4294967295", 5)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("8589934591", 6)), std::string::npos) << text;
+  EXPECT_NE(text.find(bucket("+Inf", 7)), std::string::npos) << text;
+  size_t lines = 0;
+  for (size_t at = text.find("_bucket{"); at != std::string::npos;
+       at = text.find("_bucket{", at + 1)) {
+    ++lines;
+  }
+  EXPECT_EQ(lines, 19u) << "le = 2^k - 1 for k = 16..33, then +Inf";
+  EXPECT_NE(text.find("saber_test_lat_nanos_sum{q=\"0\"} " +
+                      std::to_string(sum)),
             std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"1000\"} 2"),
+  EXPECT_NE(text.find("saber_test_lat_nanos_count{q=\"0\"} 7"),
             std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_bucket{q=\"0\",le=\"+Inf\"} 3"),
-            std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_sum{q=\"0\"} 5550"),
-            std::string::npos);
-  EXPECT_NE(text.find("saber_test_lat_nanos_count{q=\"0\"} 3"),
-            std::string::npos);
+  reg.Unregister(&owner);
+}
+
+TEST(MetricsRegistry, SummaryPrintsTheSamePercentilesAsTheHistogram) {
+  MetricsRegistry reg;
+  const int owner = 0;
+  Histogram h;
+  reg.RegisterHistogram("saber_test_lat_nanos", {{"q", "0"}}, &h, &owner);
+  for (int64_t i = 0; i < 1000; ++i) h.Record(i * i * 37 + 11);
+  const std::string out = FormatMetricsSummary(reg.Snapshot());
+  const std::string want = "saber_test_lat_nanos{q=\"0\"} count=1000 p50=" +
+                           std::to_string(h.Percentile(50)) +
+                           " p99=" + std::to_string(h.Percentile(99)) + "\n";
+  EXPECT_NE(out.find(want), std::string::npos) << out << "want: " << want;
+  reg.Unregister(&owner);
 }
 
 TEST(MetricsRegistry, ExternalInstrumentRegisterUnregisterRepoint) {

@@ -14,7 +14,9 @@
 ///
 /// Options:
 ///   --tuples N      tuples to generate per input stream   (default 1000000)
+///                   (1 to 2^30)
 ///   --workers N     CPU worker threads                    (default 4)
+///                   (0 to 256; 0 leaves every task to the GPGPU)
 ///   --no-gpu        run without the simulated GPGPU
 ///   --task-size B   query task size phi in bytes          (default 1 MiB)
 ///                   (64 B to 64 MiB, the default input buffer)
@@ -76,6 +78,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -83,6 +86,7 @@
 
 #include "core/engine.h"
 #include "ingest/sharded_ingress.h"
+#include "int_flag.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "io/csv.h"
@@ -90,7 +94,6 @@
 #include "runtime/blocking_queue.h"
 #include "runtime/clock.h"
 #include "sql/parser.h"
-#include "task_size_flag.h"
 #include "workloads/sharding.h"
 #include "workloads/cluster_monitoring.h"
 #include "workloads/linear_road.h"
@@ -113,7 +116,8 @@ struct CliOptions {
   int64_t lateness = 0;  // ingress reorder-buffer horizon (allowed lateness)
   bool lateness_set = false;  // explicit --lateness (remote: else inherit SQL)
   ingest::LatePolicy late_policy = ingest::LatePolicy::kAbort;
-  std::string connect;  // host:port of a saber_server (remote mode)
+  std::string connect_host;  // a saber_server to run on (remote mode)
+  int connect_port = 0;
   int64_t limit = 10;
   uint32_t seed = 42;
   std::string input_csv;   // read stream 0 from a CSV file instead
@@ -123,6 +127,12 @@ struct CliOptions {
   double trace_sample = -1.0;  // < 0 = default (1.0 with --trace, else off)
   std::string sql;
 };
+
+constexpr size_t kMaxTuples = size_t{1} << 30;
+constexpr int kMaxWorkers = 256;
+constexpr int kMaxProducers = 1024;  // the server's per-input bound
+constexpr int kIntMax = std::numeric_limits<int>::max();
+constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
 
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -144,36 +154,48 @@ bool ParseArgs(int argc, char** argv, CliOptions* o) {
       return argv[++i];
     };
     if (a == "--tuples") {
-      o->tuples = std::strtoull(next(), nullptr, 10);
+      if (!ParseIntFlag("--tuples", next(), size_t{1}, kMaxTuples,
+                        &o->tuples)) {
+        return false;
+      }
     } else if (a == "--workers") {
-      o->workers = std::atoi(next());
+      if (!ParseIntFlag("--workers", next(), 0, kMaxWorkers, &o->workers)) {
+        return false;
+      }
     } else if (a == "--no-gpu") {
       o->use_gpu = false;
     } else if (a == "--task-size") {
       if (!ParseTaskSizeFlag(next(), &o->task_size)) return false;
     } else if (a == "--producers") {
-      o->producers = std::atoi(next());
-      if (o->producers < 1) {
-        std::fprintf(stderr, "--producers must be >= 1\n");
+      if (!ParseIntFlag("--producers", next(), 1, kMaxProducers,
+                        &o->producers)) {
         return false;
       }
     } else if (a == "--rate") {
       o->rate = std::atof(next());
     } else if (a == "--disorder") {
-      o->disorder = std::atoll(next());
-      if (o->disorder < 0) {
-        std::fprintf(stderr, "--disorder must be >= 0\n");
+      if (!ParseIntFlag("--disorder", next(), int64_t{0}, kInt64Max,
+                        &o->disorder)) {
         return false;
       }
     } else if (a == "--lateness") {
-      o->lateness = std::atoll(next());
-      o->lateness_set = true;
-      if (o->lateness < 0) {
-        std::fprintf(stderr, "--lateness must be >= 0\n");
+      if (!ParseIntFlag("--lateness", next(), int64_t{0}, kInt64Max,
+                        &o->lateness)) {
         return false;
       }
+      o->lateness_set = true;
     } else if (a == "--connect") {
-      o->connect = next();
+      const std::string hp = next();
+      const size_t colon = hp.rfind(':');
+      if (colon == std::string::npos || colon == 0) {
+        std::fprintf(stderr, "--connect expects host:port\n");
+        return false;
+      }
+      o->connect_host = hp.substr(0, colon);
+      if (!ParseIntFlag("--connect port", hp.c_str() + colon + 1, 1, 65535,
+                        &o->connect_port)) {
+        return false;
+      }
     } else if (a == "--late-policy") {
       const std::string p = next();
       if (p == "abort") {
@@ -189,15 +211,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* o) {
         return false;
       }
     } else if (a == "--churn") {
-      o->churn = std::atoi(next());
-      if (o->churn < 0) {
-        std::fprintf(stderr, "--churn must be >= 0\n");
+      if (!ParseIntFlag("--churn", next(), 0, kIntMax, &o->churn)) {
         return false;
       }
     } else if (a == "--limit") {
-      o->limit = std::atoll(next());
+      if (!ParseIntFlag("--limit", next(), int64_t{0}, kInt64Max,
+                        &o->limit)) {
+        return false;
+      }
     } else if (a == "--seed") {
-      o->seed = static_cast<uint32_t>(std::strtoul(next(), nullptr, 10));
+      if (!ParseIntFlag("--seed", next(), uint32_t{0},
+                        std::numeric_limits<uint32_t>::max(), &o->seed)) {
+        return false;
+      }
     } else if (a == "--metrics") {
       o->dump_metrics = true;
     } else if (a == "--trace") {
@@ -222,17 +248,23 @@ bool ParseArgs(int argc, char** argv, CliOptions* o) {
       o->sql += a;
     }
   }
+  if (o->workers == 0 && !o->use_gpu) {
+    std::fprintf(stderr, "--workers must be an integer in [1, %d] with "
+                         "--no-gpu (nothing else runs tasks)\n",
+                 kMaxWorkers);
+    return false;
+  }
   if (o->rate > 0 && o->producers < 2) {
     std::fprintf(stderr,
                  "--rate meters sharded producers; it needs --producers >= 2\n");
     return false;
   }
-  if (!o->connect.empty() && !o->input_csv.empty()) {
+  if (!o->connect_host.empty() && !o->input_csv.empty()) {
     std::fprintf(stderr, "--input is local-only; it cannot combine with "
                          "--connect (the server generates nothing)\n");
     return false;
   }
-  if (!o->connect.empty() && o->churn > 0) {
+  if (!o->connect_host.empty() && o->churn > 0) {
     std::fprintf(stderr,
                  "--churn drives a local engine; it cannot combine with "
                  "--connect\n");
@@ -302,14 +334,8 @@ void PrintRow(const Schema& s, const uint8_t* row) {
 /// groups, like the in-process ingress path, so the output matches the
 /// local run byte for byte), and results come back on a subscription.
 int RunRemote(const CliOptions& cli, const sql::Catalog& catalog) {
-  const size_t colon = cli.connect.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == cli.connect.size()) {
-    std::fprintf(stderr, "--connect expects host:port\n");
-    return 2;
-  }
-  const std::string host = cli.connect.substr(0, colon);
-  const int port = std::atoi(cli.connect.c_str() + colon + 1);
+  const std::string& host = cli.connect_host;
+  const int port = cli.connect_port;
 
   // Parse locally too: the generators need the input schemas and the row
   // printer the output schema. The server's parse is the authoritative one.
@@ -336,8 +362,8 @@ int RunRemote(const CliOptions& cli, const sql::Catalog& catalog) {
   }
   const net::QueryInfo info = submitted.value();
   std::printf("query        : %s\n", cli.sql.c_str());
-  std::printf("remote query : #%u (%s) on %s\n", info.query_id,
-              info.name.c_str(), cli.connect.c_str());
+  std::printf("remote query : #%u (%s) on %s:%d\n", info.query_id,
+              info.name.c_str(), host.c_str(), port);
   std::printf("output schema: %s\n", info.output_schema.c_str());
   if (info.output_tuple_size != def.output_schema.tuple_size()) {
     std::fprintf(stderr,
@@ -504,7 +530,7 @@ int main(int argc, char** argv) {
   catalog["PosSpeedStr"] = lrb::PositionSchema();
   catalog["SegSpeedStr"] = lrb::PositionSchema();
 
-  if (!cli.connect.empty()) return RunRemote(cli, catalog);
+  if (!cli.connect_host.empty()) return RunRemote(cli, catalog);
 
   Result<QueryDef> parsed = sql::Parse(cli.sql, catalog, "cli");
   if (!parsed.ok()) {
@@ -792,9 +818,9 @@ int main(int argc, char** argv) {
               q->tuples_in() / secs / 1e6,
               static_cast<double>(q->bytes_in()) / secs / (1 << 30));
   std::printf("p50 latency  : %lld us\n",
-              static_cast<long long>(q->latency().PercentileNanos(50) / 1000));
+              static_cast<long long>(q->latency().Percentile(50) / 1000));
   std::printf("p99 latency  : %lld us\n",
-              static_cast<long long>(q->latency().PercentileNanos(99) / 1000));
+              static_cast<long long>(q->latency().Percentile(99) / 1000));
   std::printf("task size    : %zu B\n", cli.task_size);
   std::printf("weight       : %.1f (weighted-fair HLS share)\n",
               q->def().weight);

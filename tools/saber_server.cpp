@@ -11,14 +11,15 @@
 ///   --port P             listen port (default 7643; 0 picks ephemeral)
 ///   --bind A             bind address (default 127.0.0.1; use 0.0.0.0
 ///                        to accept remote peers)
-///   --workers N          engine CPU worker threads (default 4)
+///   --workers N          engine CPU worker threads, 1 to 256 (default 4)
 ///   --no-gpu             disable the simulated GPGPU pipeline
 ///   --task-size B        query task size phi in bytes, 64 B to 64 MiB
 ///                        (default 1 MiB)
 ///   --idle-timeout-ms N  slow-loris guard / silent-connection sweep
-///                        (default 30000; <= 0 disables)
+///                        (default 30000; 0 disables)
 ///   --max-frame B        per-frame payload bound (default 4 MiB)
-///   --staging B          per-producer staging ring bytes (default 4 MiB)
+///   --staging B          per-producer staging ring bytes, 4 KiB to 1 GiB
+///                        (default 4 MiB)
 ///   --stats-secs N       print a metrics summary every N seconds
 ///                        (0 = quiet); rendered from the same registry
 ///                        snapshot the /metrics endpoint serves
@@ -49,18 +50,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "core/engine.h"
 #include "fault/fault_registry.h"
+#include "int_flag.h"
 #include "net/http_metrics.h"
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/clock.h"
 #include "sql/parser.h"
-#include "task_size_flag.h"
 #include "workloads/cluster_monitoring.h"
 #include "workloads/linear_road.h"
 #include "workloads/smart_grid.h"
@@ -89,6 +91,8 @@ struct ServerCliOptions {
   std::string faults;
 };
 
+constexpr int kIntMax = std::numeric_limits<int>::max();
+
 [[noreturn]] void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port P] [--bind A] [--workers N] [--no-gpu] "
@@ -112,17 +116,11 @@ bool ParseArgs(int argc, char** argv, ServerCliOptions* o) {
       return argv[++i];
     };
     if (a == "--port") {
-      o->port = std::atoi(next());
-      if (o->port < 0 || o->port > 65535) {
-        std::fprintf(stderr, "--port must be 0..65535\n");
-        return false;
-      }
+      if (!ParseIntFlag("--port", next(), 0, 65535, &o->port)) return false;
     } else if (a == "--bind") {
       o->bind = next();
     } else if (a == "--workers") {
-      o->workers = std::atoi(next());
-      if (o->workers < 1) {
-        std::fprintf(stderr, "--workers must be >= 1\n");
+      if (!ParseIntFlag("--workers", next(), 1, 256, &o->workers)) {
         return false;
       }
     } else if (a == "--no-gpu") {
@@ -130,28 +128,27 @@ bool ParseArgs(int argc, char** argv, ServerCliOptions* o) {
     } else if (a == "--task-size") {
       if (!ParseTaskSizeFlag(next(), &o->task_size)) return false;
     } else if (a == "--idle-timeout-ms") {
-      o->idle_timeout_ms = std::atoi(next());
+      if (!ParseIntFlag("--idle-timeout-ms", next(), 0, kIntMax,
+                        &o->idle_timeout_ms)) {
+        return false;
+      }
     } else if (a == "--max-frame") {
-      const long long v = std::atoll(next());
-      if (v < 64 || v > static_cast<long long>(net::kMaxFramePayload)) {
-        std::fprintf(stderr, "--max-frame must be 64..%u\n",
-                     net::kMaxFramePayload);
+      if (!ParseIntFlag("--max-frame", next(), uint32_t{64},
+                        net::kMaxFramePayload, &o->max_frame)) {
         return false;
       }
-      o->max_frame = static_cast<uint32_t>(v);
     } else if (a == "--staging") {
-      const long long v = std::atoll(next());
-      if (v < 4096) {
-        std::fprintf(stderr, "--staging must be >= 4096\n");
+      if (!ParseIntFlag("--staging", next(), size_t{4096}, size_t{1} << 30,
+                        &o->staging_bytes)) {
         return false;
       }
-      o->staging_bytes = static_cast<size_t>(v);
     } else if (a == "--stats-secs") {
-      o->stats_secs = std::atoi(next());
+      if (!ParseIntFlag("--stats-secs", next(), 0, kIntMax, &o->stats_secs)) {
+        return false;
+      }
     } else if (a == "--metrics-port") {
-      o->metrics_port = std::atoi(next());
-      if (o->metrics_port < 0 || o->metrics_port > 65535) {
-        std::fprintf(stderr, "--metrics-port must be 0..65535\n");
+      if (!ParseIntFlag("--metrics-port", next(), 0, 65535,
+                        &o->metrics_port)) {
         return false;
       }
     } else if (a == "--trace-sample") {
@@ -163,9 +160,15 @@ bool ParseArgs(int argc, char** argv, ServerCliOptions* o) {
     } else if (a == "--trace-out") {
       o->trace_out = next();
     } else if (a == "--reconnect-grace-ms") {
-      o->reconnect_grace_ms = std::atoi(next());
+      if (!ParseIntFlag("--reconnect-grace-ms", next(), 0, kIntMax,
+                        &o->reconnect_grace_ms)) {
+        return false;
+      }
     } else if (a == "--watchdog-ms") {
-      o->watchdog_ms = std::atoi(next());
+      if (!ParseIntFlag("--watchdog-ms", next(), 0, kIntMax,
+                        &o->watchdog_ms)) {
+        return false;
+      }
     } else if (a == "--watchdog-force-close") {
       o->watchdog_force_close = true;
     } else if (a == "--faults") {
