@@ -35,7 +35,6 @@ int main() {
                      .Build();
 
   EngineOptions o = DefaultOptions(6, true, 512 << 10);
-  o.matrix_update_nanos = 100'000'000;  // 100 ms, as in the paper
   o.switch_threshold = 16;
   Engine engine(o);
   QueryHandle* q = engine.AddQuery(def);

@@ -40,7 +40,6 @@ int main() {
   options.num_cpu_workers = 4;
   options.use_gpu = true;
   options.task_size = 256 * 1024;
-  options.matrix_update_nanos = 100'000'000;  // 100 ms, as in §6.6
   options.switch_threshold = 16;
 
   Engine engine(options);

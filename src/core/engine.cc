@@ -35,6 +35,12 @@ IdleCut IdleCutFor(const QueryDef& q) {
   return w.session() || w.unbounded ? IdleCut::kNone : IdleCut::kWindowEnd;
 }
 
+/// GPGPU failover multiplies the device's published rate by this per
+/// failed task, so HLS steers away from a flaky device.
+constexpr double kGpuFailureDecay = 0.5;
+/// Completed spans the trace ring retains (~1 MiB).
+constexpr size_t kTraceRingSpans = 8192;
+
 }  // namespace
 
 thread_local bool Engine::in_worker_thread_ = false;
@@ -91,6 +97,8 @@ struct QueryState {
   /// sits at multiples of φ.
   int64_t phi_cut_pos = 0;
   IdleCut idle_cut = IdleCut::kNone;
+  /// A cut the gate deferred owed an idle cut; the re-drive makes it.
+  bool idle_cut_owed = false;
   int64_t tuples_dispatched[2] = {0, 0};
   int64_t prev_last_ts[2] = {-1, -1};
   int64_t last_ingest_ts[2] = {-1, -1};
@@ -98,12 +106,15 @@ struct QueryState {
   int64_t window_start_index[2] = {0, 0};
   int64_t next_task_id = 0;
   std::atomic<int64_t> tasks_dispatched{0};
+  /// The deferral channel: set by the gate, cleared by the re-drive.
+  std::atomic<bool> cut_deferred{false};
 
   // Engine-managed sharded ingress fronts (AttachIngress), revoked and
   // drained as the first phase of RemoveQuery, stopped by Engine::Stop.
   std::unique_ptr<ingest::ShardedIngress> ingress[2];
 
-  // Result stage (§4.3).
+  // Result stage (§4.3). The dispatcher cuts task `id` only while
+  // id - next_assemble < kSlots, so a completed task's slot is always free.
   static constexpr size_t kSlots = 128;
   /// Stateless and join queries assemble by concatenation (§4.3); their
   /// fragment results are forwarded zero-copy instead of re-buffered.
@@ -162,6 +173,23 @@ bool AcceptingInserts(const QueryState& qs) {
   const QueryLifecycle lc = qs.lifecycle.load();  // seq_cst, see InsertPin
   return lc == QueryLifecycle::kAdmitted || lc == QueryLifecycle::kRunning;
 }
+
+/// The gate every cut goes through: the query's next task may be cut only
+/// while its result slot is free. A closed gate publishes a deferral and
+/// then re-reads the assembly cursor; the worker that advances the cursor
+/// reads the deferral afterwards (TryAssemble). Both sides are seq_cst, so
+/// one of them sees the other and no re-drive is lost. Caller holds
+/// dispatch_mu.
+bool SlotFree(QueryState& qs) {
+  const auto free = [&] {
+    return qs.next_task_id - qs.next_assemble.load() <
+           static_cast<int64_t>(QueryState::kSlots);
+  };
+  if (free()) return true;
+  qs.cut_deferred.store(true);
+  return free();
+}
+
 }  // namespace
 
 // ===========================================================================
@@ -217,17 +245,15 @@ Engine::Engine(EngineOptions options) : options_(options) {
   }
   if (options_.trace_sample_rate > 0.0) {
     trace_ = std::make_unique<obs::TraceRing>(options_.trace_sample_rate,
-                                              options_.trace_ring_spans);
+                                              kTraceRingSpans);
   }
   if (options_.use_gpu) {
     device_ = std::make_unique<SimDevice>(options_.device);
   }
   // Sized for the slot capacity up front (queries appear and vanish at
   // runtime; the matrix and scheduler never resize).
-  matrix_ = std::make_unique<ThroughputMatrix>(options_.max_queries,
-                                               options_.matrix_initial_rate,
-                                               options_.matrix_update_nanos);
-  task_queue_ = std::make_unique<TaskQueue>(options_.task_queue_capacity);
+  matrix_ = std::make_unique<ThroughputMatrix>(options_.max_queries);
+  task_queue_ = std::make_unique<TaskQueue>();
   // Rate drift can flip task preferences: instead of re-polling the queue on
   // a timer, blocked workers are woken whenever the matrix publishes.
   matrix_->SetRefreshListener([this] { task_queue_->OnEligibilityChanged(); });
@@ -416,7 +442,7 @@ Status Engine::RemoveQuery(QueryHandle* query) {
   }
   if (in_worker_thread_) {
     // A worker waiting for its own query's in-flight tasks to assemble would
-    // deadlock (same reasoning as TaskQueue::Push's force flag).
+    // deadlock.
     return Status::InvalidArgument(
         StrCat("RemoveQuery('", query->def().name,
                "'): must not be called from an engine worker thread"));
@@ -477,12 +503,13 @@ Status Engine::RemoveQuery(QueryHandle* query) {
     qs->insert_refs.wait(refs);
   }
 
-  // Phase 3 — drain the pipeline: cut the sub-φ remainder into a final task,
-  // then sleep on the assembly channel until every dispatched task has been
-  // executed and assembled. Without workers there is nothing in flight —
-  // whatever sits in the task queue is swept below.
+  // Phase 3 — drain the pipeline: cut everything pending, the sub-φ tail
+  // included, and sleep on the assembly channel until the query is done.
+  // The gate may defer part of a flush until slots free up, so this loops
+  // until a flush finds nothing left to cut and nothing in flight. Without
+  // workers there is nothing in flight — whatever sits in the task queue is
+  // swept below.
   if (live_engine) {
-    FlushRemainder(*qs);
     for (;;) {
       if (stopping_.load()) {
         // Engine shutdown interrupts the quiesce; tasks may have been
@@ -491,10 +518,7 @@ Status Engine::RemoveQuery(QueryHandle* query) {
         return Status::OK();
       }
       const uint32_t gen = assembly_gen_.load(std::memory_order_acquire);
-      if (!qs->assembling.load(std::memory_order_acquire) &&
-          qs->tasks_assembled.load() == qs->tasks_dispatched.load()) {
-        break;
-      }
+      if (!FlushRemainder(*qs)) break;
       assembly_gen_.wait(gen, std::memory_order_acquire);
     }
   }
@@ -511,9 +535,8 @@ void Engine::RetireLocked(const std::shared_ptr<QueryState>& qs) {
   const int index = qs->index;
   std::vector<QueryTask*> swept = task_queue_->SweepQuery(index);
   if (!swept.empty()) {
-    // Exact capacity accounting: the swept tasks were dispatched but will
-    // never assemble; the release below re-opens queue capacity and the
-    // counter adjustment keeps dispatched == assembled for Drain.
+    // The swept tasks were dispatched but will never assemble; the counter
+    // adjustment keeps dispatched == assembled for Drain.
     qs->tasks_dispatched.fetch_sub(static_cast<int64_t>(swept.size()));
     for (QueryTask* t : swept) {
       task_pool_->Release(std::unique_ptr<QueryTask>(t));
@@ -662,10 +685,12 @@ void Engine::Drain() {
       idle = idle_snapshot();
     }
     if (idle) {
-      bool flushed = false;
-      for (const auto& qs : queries) flushed = FlushRemainder(*qs) || flushed;
-      if (!flushed) break;
-      continue;  // remainder tasks dispatched: wait for their assemblies
+      // A worker's re-drive may have dispatched since the snapshot, so
+      // only FlushRemainder, which checks under dispatch_mu, says done.
+      bool busy = false;
+      for (const auto& qs : queries) busy = FlushRemainder(*qs) || busy;
+      if (!busy) break;
+      continue;  // wait for the tasks still in flight
     }
     assembly_gen_.wait(gen, std::memory_order_acquire);
   }
@@ -834,34 +859,59 @@ void Engine::InsertInto(QueryState& qs, int input, const void* tuples,
 void Engine::TryCreateTasks(QueryState& qs) {
   std::lock_guard<std::mutex> lock(qs.dispatch_mu);
   if (qs.buffer[0] == nullptr) return;  // retired
+  CutLocked(qs, /*flush=*/false);
+}
+
+bool Engine::FlushRemainder(QueryState& qs) {
+  std::lock_guard<std::mutex> lock(qs.dispatch_mu);
+  if (qs.buffer[0] == nullptr) return false;  // retired
+  CutLocked(qs, /*flush=*/true);
+  // Read under dispatch_mu, where a worker's re-drive dispatches too.
+  bool busy = qs.tasks_dispatched.load() != qs.tasks_assembled.load();
+  for (int i = 0; i < qs.def.num_inputs; ++i) {
+    busy = busy || qs.buffer[i]->end() != qs.next_task_start[i];
+  }
+  return busy;
+}
+
+void Engine::CutLocked(QueryState& qs, bool flush) {
   if (qs.def.num_inputs == 2) {  // θ-join or two-input UDF
-    while (TryCreateJoinTask(qs, /*flush=*/false)) {
+    while (SlotFree(qs) && TryCreateJoinTask(qs, flush)) {
     }
     return;
   }
-  // Read before the φ cuts below, which put tasks in flight themselves.
-  const bool idle = qs.tasks_dispatched.load() == qs.tasks_assembled.load();
-  // φ cuts stay on their grid whatever idle cuts came in between. An idle
-  // cut lies at or below the buffer end, which this loop leaves less than
-  // φ past the last grid point, so it always falls before the next one.
+  // Read before the φ cuts below, which put tasks in flight themselves. A
+  // cut the gate deferred keeps the idle cut its call owed.
+  const bool idle = qs.idle_cut_owed ||
+                    qs.tasks_dispatched.load() == qs.tasks_assembled.load();
+  qs.idle_cut_owed = idle;
+  // One snapshot of the buffer end for the whole cut: a re-drive runs on a
+  // worker while the producer inserts. φ cuts stay on their grid whatever
+  // idle cuts came in between. An idle cut lies at or below `end`, which
+  // this loop leaves less than φ past the last grid point, so it always
+  // falls before the next one.
   const int64_t phi = static_cast<int64_t>(qs.task_size);
   const int64_t end = qs.buffer[0]->end();
   while (end - qs.phi_cut_pos >= phi) {
+    if (!SlotFree(qs)) return;
     qs.phi_cut_pos += phi;
-    CreateSingleInputTask(qs, qs.phi_cut_pos);
+    CreateSingleInputTask(qs, qs.phi_cut_pos, end);
   }
   // Nothing in flight would emit the windows the buffered input has
   // closed, so dispatch them now instead of waiting for φ to fill.
-  if (idle) {
-    const int64_t cut = IdleCutPos(qs);
-    if (cut > qs.next_task_start[0]) CreateSingleInputTask(qs, cut);
+  const int64_t start = qs.next_task_start[0];
+  const int64_t cut = flush ? end : idle ? IdleCutPos(qs, end) : start;
+  if (cut > start) {
+    if (!SlotFree(qs)) return;
+    CreateSingleInputTask(qs, cut, end);
+    if (flush) qs.phi_cut_pos = end;
   }
+  qs.idle_cut_owed = false;
 }
 
-int64_t Engine::IdleCutPos(const QueryState& qs) const {
+int64_t Engine::IdleCutPos(const QueryState& qs, int64_t end) const {
   const int64_t start = qs.next_task_start[0];
   const CircularBuffer& buf = *qs.buffer[0];
-  const int64_t end = buf.end();
   if (end == start || qs.idle_cut == IdleCut::kNone) return start;
   if (qs.idle_cut == IdleCut::kAnywhere) return end;
   const WindowDefinition& w = qs.def.window[0];
@@ -888,22 +938,10 @@ int64_t Engine::IdleCutPos(const QueryState& qs) const {
   }) * tsz;
 }
 
-bool Engine::FlushRemainder(QueryState& qs) {
-  std::lock_guard<std::mutex> lock(qs.dispatch_mu);
-  if (qs.buffer[0] == nullptr) return false;  // retired
-  if (qs.def.num_inputs == 2) {
-    return TryCreateJoinTask(qs, /*flush=*/true);
-  }
-  CircularBuffer& buf = *qs.buffer[0];
-  if (buf.end() == qs.next_task_start[0]) return false;
-  CreateSingleInputTask(qs, buf.end());
-  qs.phi_cut_pos = buf.end();
-  return true;
-}
-
-/// Creates a single-input task for buffer bytes [next_task_start, end_pos).
-/// Caller holds dispatch_mu.
-void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos) {
+/// Creates a single-input task for buffer bytes [next_task_start, end_pos);
+/// `end` is the cut's snapshot of the buffer end. Caller holds dispatch_mu.
+void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos,
+                                   int64_t end) {
   const Schema& schema = qs.def.input_schema[0];
   const size_t tsz = schema.tuple_size();
   CircularBuffer& buf = *qs.buffer[0];
@@ -923,7 +961,7 @@ void Engine::CreateSingleInputTask(QueryState& qs, int64_t end_pos) {
   in.first_index = qs.tuples_dispatched[0];
   in.first_ts = TsAt(buf, start_pos);
   in.last_ts = TsAt(buf, end_pos - static_cast<int64_t>(tsz));
-  in.closing_ts = end_pos < buf.end() ? TsAt(buf, end_pos) : in.last_ts;
+  in.closing_ts = end_pos < end ? TsAt(buf, end_pos) : in.last_ts;
   in.prev_last_ts = qs.prev_last_ts[0];
   in.hist_start_pos = start_pos;
   in.hist_first_index = in.first_index;
@@ -1089,11 +1127,8 @@ void Engine::PushTask(QueryState& qs, QueryTask* task) {
   if (task->traced) task->trace_queued_nanos = NowNanos();
   qs.tasks_dispatched.fetch_add(1);
   // policy/matrix let Push wake only the processors that could select this
-  // task. Worker threads dispatch connected-query tasks from inside the
-  // result stage and must never block on queue capacity (see
-  // TaskQueue::Push): the queue only drains through them.
-  if (!task_queue_->Push(task, policy_.get(), matrix_.get(),
-                         /*force=*/in_worker_thread_)) {
+  // task.
+  if (!task_queue_->Push(task, policy_.get(), matrix_.get())) {
     // Engine stopping: recycle the task.
     qs.tasks_dispatched.fetch_sub(1);
     task_pool_->Release(std::unique_ptr<QueryTask>(task));
@@ -1220,7 +1255,7 @@ void Engine::GpuWorkerLoop() {
       // RecordCompletion: a failure is not a throughput sample.
       gpu_task_retries_.Increment();
       matrix_->DecayRate(e.task->query_index, Processor::kGpu,
-                         options_.gpu_failure_decay);
+                         kGpuFailureDecay);
       if (options_.num_cpu_workers > 0) {
         e.task->allowed = ProcessorBit(Processor::kCpu);
       }
@@ -1313,25 +1348,14 @@ void Engine::StoreAndAssemble(QueryState& qs, QueryTask* task,
   qs.bytes_on[static_cast<int>(p)].Increment(task->total_bytes);
 
   Slot& slot = *qs.slots[static_cast<size_t>(task->id) % QueryState::kSlots];
-  // The slot ring advances strictly in task-id order: this task may store
-  // only once every task kSlots older has been assembled. Checking the slot
-  // status alone is not enough — §4.3's "more slots than worker threads"
-  // argument bounds completed-but-unassembled results, but an OS-preempted
-  // worker can leave an *older* task unstored (its slot empty) while the
-  // other workers lap the ring; a newer task would then land in the empty
-  // slot and be assembled under the older task's position. Helping with
-  // assembly while waiting guarantees progress: within a query, tasks are
-  // selected in id order, so the gating task is always either executing on
-  // some worker or already stored.
-  while (slot.status.load(std::memory_order_acquire) != kEmpty ||
-         task->id - qs.next_assemble.load(std::memory_order_acquire) >=
-             static_cast<int64_t>(QueryState::kSlots)) {
-    TryAssemble(qs);
-    std::this_thread::yield();
-  }
+  // The gate cut this task only once every task kSlots older had been
+  // assembled (SlotFree), so its slot is free: no worker waits here.
+  SABER_CHECK(slot.status.load(std::memory_order_acquire) == kEmpty &&
+              task->id - qs.next_assemble.load(std::memory_order_acquire) <
+                  static_cast<int64_t>(QueryState::kSlots));
   slot.task = task;
   slot.result = result;
-  slot.status.store(kStored, std::memory_order_release);
+  slot.status.store(kStored);  // seq_cst: see the re-check in TryAssemble
   TryAssemble(qs);
 }
 
@@ -1339,8 +1363,7 @@ void Engine::TryAssemble(QueryState& qs) {
   bool assembled_any = false;
   for (;;) {
     bool expected = false;
-    if (!qs.assembling.compare_exchange_strong(expected, true,
-                                               std::memory_order_acquire)) {
+    if (!qs.assembling.compare_exchange_strong(expected, true)) {
       break;  // another worker holds the assembly token
     }
     bool did_work = false;
@@ -1412,19 +1435,26 @@ void Engine::TryAssemble(QueryState& qs) {
       slot.task = nullptr;
       slot.result = nullptr;
       slot.status.store(kEmpty, std::memory_order_release);
-      qs.next_assemble.fetch_add(1, std::memory_order_release);
+      qs.next_assemble.fetch_add(1);  // seq_cst: pairs with SlotFree
       qs.tasks_assembled.fetch_add(1);
       did_work = true;
     }
-    qs.assembling.store(false, std::memory_order_release);
+    qs.assembling.store(false);
     assembled_any = assembled_any || did_work;
     // Re-check: a result may have been stored between the loop exit and the
-    // token release; without this re-acquisition it could wait forever.
-    const int64_t id = qs.next_assemble.load(std::memory_order_acquire);
+    // token release; without this re-acquisition it could wait forever. The
+    // storer's store and token CAS and this release and load are seq_cst,
+    // so one side sees the other.
+    const int64_t id = qs.next_assemble.load();
     Slot& slot = *qs.slots[static_cast<size_t>(id) % QueryState::kSlots];
-    if (slot.status.load(std::memory_order_acquire) != kStored) break;
+    if (slot.status.load() != kStored) break;
   }
   if (assembled_any) {
+    // Slots were freed: re-run the cut the gate deferred, if any (read
+    // after the cursor advanced, see SlotFree). An idle query is not cut.
+    if (qs.cut_deferred.load() && qs.cut_deferred.exchange(false)) {
+      TryCreateTasks(qs);
+    }
     // Signal the drained channel once per assembly batch (outside the
     // token, so a blocked Drain never waits on a worker holding it).
     assembly_gen_.fetch_add(1, std::memory_order_release);

@@ -78,15 +78,13 @@ struct EngineOptions {
   size_t task_size = 1 << 20;
 
   /// Circular input buffer capacity per stream (§4.1). Unit: bytes.
-  /// Default: 64 MiB. Bounds producer back-pressure: inserts block once
-  /// unconsumed + window-history bytes reach this. Must comfortably exceed
+  /// Default: 64 MiB. The producer's only back-pressure: inserts block once
+  /// unconsumed + window-history bytes reach this. Input the dispatcher
+  /// cannot cut yet (the query's result slots are all taken,
+  /// docs/architecture.md §3) stays here. Must comfortably exceed
   /// φ (`task_size`) plus the largest window extent, or dispatch starves;
   /// the Engine constructor aborts when `task_size` exceeds it.
   size_t input_buffer_size = size_t{64} << 20;
-  /// System-wide task queue bound (dispatch back-pressure). Unit: tasks.
-  /// Default: 256. Producer-thread pushes block when full; worker-context
-  /// pushes (connected queries) force past it — see TaskQueue::Push.
-  size_t task_queue_capacity = 256;
 
   /// Registered-query capacity: the fixed number of query *slots* the
   /// engine, throughput matrix and schedulers size their per-query state
@@ -110,26 +108,16 @@ struct EngineOptions {
   /// Static assignment (query index -> processor) for SchedulerKind::kStatic;
   /// unassigned queries run anywhere. Ignored by the other schedulers.
   std::map<int, Processor> static_assignment;
-  /// Throughput matrix refresh interval (100 ms in §6.6). Unit: nanoseconds.
-  /// Default: 100 ms. Shorter reacts faster but publishes noisier rates to
-  /// HLS.
-  int64_t matrix_update_nanos = 100'000'000;
-  /// Initial uniform rate for the throughput matrix. Unit: tasks/s.
-  /// Default: 100. Until real completions refresh a cell, HLS plans with
-  /// this value (the paper's "uniform assumption").
-  double matrix_initial_rate = 100.0;
 
   /// GPGPU failover (docs/architecture.md §14). A task the device fails is
   /// requeued at the queue front narrowed to the CPU (when CPU workers
-  /// exist) and the device's published rate is multiplied by
-  /// `gpu_failure_decay` so HLS steers away. After
-  /// `gpu_quarantine_threshold` *consecutive* failures the GPGPU worker
-  /// stops submitting for `gpu_quarantine_nanos`, then lets a single probe
-  /// task through; a successful probe lifts the quarantine, a failed one
-  /// re-arms the window. Unit: tasks / nanoseconds / factor.
+  /// exist) and the device's published rate is halved so HLS steers away.
+  /// After `gpu_quarantine_threshold` *consecutive* failures the GPGPU
+  /// worker stops submitting for `gpu_quarantine_nanos`, then lets a single
+  /// probe task through; a successful probe lifts the quarantine, a failed
+  /// one re-arms the window. Unit: tasks / nanoseconds.
   int gpu_quarantine_threshold = 3;
   int64_t gpu_quarantine_nanos = 50'000'000;
-  double gpu_failure_decay = 0.5;
 
   /// Metrics registry every engine counter registers on (obs/metrics.h).
   /// Null (the default) makes the engine own a private registry, readable
@@ -142,11 +130,9 @@ struct EngineOptions {
   /// disables tracing entirely — the trace ring is not even constructed and
   /// the per-task cost is one pointer test. At rate r each dispatched task
   /// is sampled independently; sampled tasks stamp six stage timestamps and
-  /// publish a span on completion.
+  /// publish a span on completion. The ring keeps the newest 8192 spans
+  /// (~1 MiB).
   double trace_sample_rate = 0.0;
-  /// Completed spans retained by the bounded trace ring (oldest overwritten
-  /// past this). Unit: spans. Default: 8192 (~1 MiB).
-  size_t trace_ring_spans = 8192;
 };
 
 class Engine;
@@ -316,13 +302,19 @@ class Engine {
   Status SetSinkFor(QueryState& qs,
                     std::function<void(const uint8_t*, size_t)> sink);
   void TryCreateTasks(QueryState& qs);
+  /// Also cuts the sub-φ tail. Returns whether the query still has work:
+  /// input the gate deferred, or a task not yet assembled.
   bool FlushRemainder(QueryState& qs);
-  /// The idle cut (docs/architecture.md §3): the furthest position the
-  /// pending single-input bytes can be cut at without splitting a pane, so
-  /// that no output byte changes; next_task_start when there is none.
-  /// Caller holds dispatch_mu.
-  int64_t IdleCutPos(const QueryState& qs) const;
-  void CreateSingleInputTask(QueryState& qs, int64_t end_pos);
+  /// The one cut routine behind both (docs/architecture.md §3): the φ grid,
+  /// then the idle cut or, with `flush`, the tail, each task only while its
+  /// result slot is free. Caller holds dispatch_mu.
+  void CutLocked(QueryState& qs, bool flush);
+  /// The idle cut (docs/architecture.md §3): the furthest position below
+  /// `end` the pending single-input bytes can be cut at without splitting a
+  /// pane, so that no output byte changes; next_task_start when there is
+  /// none. Caller holds dispatch_mu.
+  int64_t IdleCutPos(const QueryState& qs, int64_t end) const;
+  void CreateSingleInputTask(QueryState& qs, int64_t end_pos, int64_t end);
   bool TryCreateJoinTask(QueryState& qs, bool flush);
   /// Trace-sampling decision for a freshly cut task (resets the pooled
   /// task's span fields). One pointer test when tracing is off.
@@ -396,11 +388,9 @@ class Engine {
   obs::Counter gpu_task_retries_;
   obs::Counter device_quarantines_;
 
-  /// True on engine worker threads (CPU workers and the GPGPU worker).
-  /// Worker-context task dispatch — a connected query's sink running inside
-  /// the result stage — must bypass the task queue's capacity bound, or a
-  /// worker holding an assembly token can deadlock against its own queue
-  /// (see TaskQueue::Push).
+  /// True on engine worker threads (CPU workers and the GPGPU worker),
+  /// which RemoveQuery refuses: a worker waiting for its own query's tasks
+  /// to assemble would deadlock.
   static thread_local bool in_worker_thread_;
 
   /// Drain's and RemoveQuery's wakeup channel (the "drained condition"):

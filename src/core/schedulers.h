@@ -206,15 +206,15 @@ class StaticScheduler final : public Scheduler {
 /// order, which lets one hot tenant that keeps the queue prefix full starve
 /// the rest. This variant keeps Alg. 1's per-task eligibility test (lines
 /// 4-6, delay accounting, switch threshold) unchanged but collects one
-/// candidate per query — the query's earliest queued task, preserving the
-/// per-query task-id order the result stage's slot ring depends on — and
-/// then picks the candidate whose tenant has the least normalized virtual
-/// service (served bytes / weight), a deficit-style discipline: a weight-8
-/// query accrues service 8x more slowly than a weight-1 query per byte, so
-/// it wins ~8x the selections under contention. Ties (including the common
-/// all-zero startup state and byte-less synthetic tasks) break toward the
-/// earliest queue position, which makes the variant selection-identical to
-/// Alg. 1 whenever service is balanced.
+/// candidate per query — the query's earliest queued task, so each query's
+/// tasks start in id order — and then picks the candidate whose tenant has
+/// the least normalized virtual service (served bytes / weight), a
+/// deficit-style discipline: a weight-8 query accrues service 8x more
+/// slowly than a weight-1 query per byte, so it wins ~8x the selections
+/// under contention. Ties (including the common all-zero startup state and
+/// byte-less synthetic tasks) break toward the earliest queue position,
+/// which makes the variant selection-identical to Alg. 1 whenever service
+/// is balanced.
 ///
 /// Queries may be admitted or retired between Select calls: per-slot weight
 /// and service live in a fixed kMaxQuerySlots array, and a newly admitted
@@ -253,16 +253,16 @@ class HlsScheduler final : public Scheduler {
     double best_norm = 0.0;
     double min_norm = 0.0;  // least service among candidate tenants
     // Queries with a task at an earlier position (including a resumed scan's
-    // skipped prefix). Only a query's *earliest* queued task may be selected:
-    // the result stage's slot ring admits a task only within kSlots of the
-    // assembly cursor, so per-query id order bounds the
-    // completed-but-unassembled gap by the tasks concurrently held by
-    // workers. A later task selected past a refused earlier one (delay
-    // accrues between positions, so the delay steal can qualify a position
-    // the head failed; a resumed scan starts past the head entirely) breaks
-    // that bound: a pipelined device worker laps the ring, wedges spinning in
-    // the store, and — no longer scheduling — can never satisfy the switch
-    // threshold that made the head ineligible for everyone else.
+    // skipped prefix). Only a query's *earliest* queued task may be
+    // selected. The dispatcher's gate, not this rule, keeps a query inside
+    // its result-slot ring: a task is cut only once its slot is free, so a
+    // later task selected past a refused earlier one (delay accrues between
+    // positions, so the delay steal can qualify a position the head failed;
+    // a resumed scan starts past the head entirely) would still store
+    // without waiting. The rule keeps each query's tasks starting in id
+    // order, which bounds the completed-but-unassembled results by the
+    // tasks workers hold; dropping it also changes the GPGPU's share of a
+    // lone query (ROADMAP item 2).
     std::bitset<kMaxQuerySlots> seen_query =
         scan == nullptr ? std::bitset<kMaxQuerySlots>{} : scan->seen_queries;
     for (; pos < limit; ++pos) {                            // line 3
@@ -291,9 +291,7 @@ class HlsScheduler final : public Scheduler {
         // processor (a failover-narrowed retry): the only worker type that
         // could reset the count is the one the mask forbids, so honoring
         // the threshold would refuse the task forever — the requeued task
-        // gates its query's assembly ring and the refusal wedges the whole
-        // engine (observed as a GPGPU worker spinning in StoreAndAssemble
-        // while every CPU worker sleeps on a full queue).
+        // gates its query's assembly, so the refusal wedges the query.
         const bool task_has_other = MaskHas(v->allowed, other);
         const bool preferred_ok =
             p == ppref &&
@@ -437,31 +435,20 @@ class HlsScheduler final : public Scheduler {
   bool enabled_[kNumProcessors];
 };
 
-/// The single system-wide queue of query tasks (Fig. 4). Bounded: Push
-/// blocks when full, providing dispatch back-pressure. Worker wakeups are
-/// event-driven (see the file comment for the protocol); there is no timed
-/// re-poll anywhere in the steady state.
+/// The single system-wide queue of query tasks (Fig. 4). Unbounded: the
+/// dispatcher cuts a query's task only while its result slot is free, so
+/// each query has at most QueryState::kSlots tasks queued or running, and
+/// Push never waits. Worker wakeups are event-driven (see the file comment
+/// for the protocol); there is no timed re-poll anywhere in the steady
+/// state.
 class TaskQueue {
  public:
-  explicit TaskQueue(size_t capacity) : capacity_(capacity) {}
-
   /// Returns false if the queue has been closed. When `policy` and `matrix`
   /// are supplied, only workers whose processor could plausibly select the
   /// new task are woken; otherwise all waiters are.
-  ///
-  /// `force` bypasses the capacity bound (never the closed check). Worker
-  /// threads MUST pass force=true when they dispatch tasks from the result
-  /// stage (a connected query's sink): the queue drains *through* the
-  /// workers, so a worker blocking here while it holds an assembly token
-  /// deadlocks the engine — every other worker may be refusing the queued
-  /// (e.g. all GPGPU-preferred) tasks, and the one processor that would
-  /// take them is the one stuck in Push. Memory stays bounded anyway: live
-  /// tasks are capped by input-buffer capacity / φ per query.
   bool Push(QueryTask* task, Scheduler* policy = nullptr,
-            const ThroughputMatrix* matrix = nullptr, bool force = false) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(
-        lock, [&] { return closed_ || force || tasks_.size() < capacity_; });
+            const ThroughputMatrix* matrix = nullptr) {
+    std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
     const bool was_empty = tasks_.empty();
     tasks_.push_back(task);
@@ -475,13 +462,10 @@ class TaskQueue {
     return true;
   }
 
-  /// Returns a failed task to the queue *front*, bypassing the capacity
-  /// bound (the task was already admitted once; blocking here would wedge
-  /// the requeueing worker). Front placement is load-bearing: policies
-  /// select a query's tasks in id order and the result stage's slot ring
-  /// admits a task only within kSlots of the assembly cursor, so a retried
-  /// task parked behind its query's younger tasks could spin every worker.
-  /// Returns false when the queue is closed (caller recycles the task).
+  /// Returns a failed task to the queue *front*, so that policies still
+  /// see each query's tasks in id order (HLS selects only a query's
+  /// earliest queued task). Returns false when the queue is closed (caller
+  /// recycles the task).
   bool Requeue(QueryTask* task) {
     std::lock_guard<std::mutex> lock(mu_);
     if (closed_) return false;
@@ -511,7 +495,6 @@ class TaskQueue {
         // make a refused task eligible, and waking everyone per selected
         // task would put a thundering herd on the hot path.
         InvalidateScansLocked();
-        not_full_.notify_one();
         if (policy.RemovalChangesEligibility()) {
           NotifyLocked(kAllProcessors, /*everyone=*/true);
         }
@@ -552,16 +535,14 @@ class TaskQueue {
   void Close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
-    not_full_.notify_all();
     NotifyLocked(kAllProcessors, /*everyone=*/true);
   }
 
   /// Removes and returns every queued task of one query (query retirement:
   /// the engine sweeps a retired slot so no worker ever dequeues a task
   /// whose QueryState is gone). The caller releases the tasks to the pool
-  /// and fixes its dispatch accounting, keeping capacity accounting exact —
-  /// freed capacity wakes blocked pushers, and since queue positions
-  /// shifted, scan hints are invalidated and all workers are re-woken.
+  /// and fixes its dispatch accounting. Queue positions shifted, so scan
+  /// hints are invalidated and all workers are re-woken.
   std::vector<QueryTask*> SweepQuery(int query_index) {
     std::vector<QueryTask*> out;
     std::lock_guard<std::mutex> lock(mu_);
@@ -576,7 +557,6 @@ class TaskQueue {
     if (!out.empty()) {
       tasks_.erase(keep, tasks_.end());
       InvalidateScansLocked();
-      not_full_.notify_all();
       NotifyLocked(kAllProcessors, /*everyone=*/true);
     }
     return out;
@@ -608,14 +588,12 @@ class TaskQueue {
     }
   }
 
-  const size_t capacity_;
   mutable std::mutex mu_;
   /// Per-processor eligibility wakeup channels plus the persisted scan
   /// hints; all guarded by mu_.
   std::condition_variable cv_[kNumProcessors];
   ScanState scan_[kNumProcessors];
   std::function<void()> listeners_[kNumProcessors];
-  std::condition_variable not_full_;
   std::deque<QueryTask*> tasks_;
   bool closed_ = false;
 };

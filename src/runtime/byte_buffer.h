@@ -79,12 +79,6 @@ class ByteBuffer {
     Append(&v, sizeof(T));
   }
 
-  template <typename T>
-  const T* ValueAt(size_t offset) const {
-    SABER_DCHECK(offset + sizeof(T) <= size_);
-    return reinterpret_cast<const T*>(data_.get() + offset);
-  }
-
  private:
   std::unique_ptr<uint8_t[]> data_;
   size_t size_ = 0;

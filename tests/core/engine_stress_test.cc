@@ -10,7 +10,7 @@
 #include "workloads/synthetic.h"
 
 /// Stress and failure-injection tests: the engine under resource pressure
-/// (tiny queues, tiny buffers), abrupt shutdown, concurrent multi-query
+/// (a closed slot gate, tiny buffers), abrupt shutdown, concurrent multi-query
 /// load, and degenerate configurations. Correctness is still byte-exact
 /// against the reference wherever the run completes.
 
@@ -19,9 +19,10 @@ namespace {
 
 using testing::BuffersEqual;
 
-TEST(EngineStress, TinyTaskQueueBackpressure) {
-  // A 2-slot system-wide queue forces the dispatcher to block on Push while
-  // workers drain; output must still be exact.
+TEST(EngineStress, SlotGateClosesInProducerContext) {
+  // One insert at φ = 1024 B needs about 937 tasks, far more than the
+  // query's 128 result slots: the producer's cut stops at the gate, and the
+  // workers that free slots re-drive the rest. Output must still be exact.
   Schema s = syn::SyntheticSchema();
   QueryDef q = syn::MakeGroupBy(4, WindowDefinition::Count(128, 32));
   auto data = syn::Generate(30000);
@@ -32,7 +33,6 @@ TEST(EngineStress, TinyTaskQueueBackpressure) {
   o.use_gpu = true;
   o.device.pace_transfers = false;
   o.task_size = 1024;
-  o.task_queue_capacity = 2;
   Engine engine(o);
   QueryHandle* h = engine.AddQuery(q);
   ByteBuffer got;
@@ -256,6 +256,59 @@ TEST(EngineStress, SlotWraparoundUnderOutOfOrderCompletion) {
   h->Insert(data.data(), data.size());
   engine.Drain();
   EXPECT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()));
+}
+
+TEST(EngineStress, RedriveCutsFromOneSnapshotOfTheBufferEnd) {
+  // A worker re-drives a deferred cut while the producer inserts. Each
+  // round inserts a 192-task block into the idle query: the gate stops the
+  // cut at 128 tasks and the call owes an idle cut. The sink holds the
+  // first batch until all 128 tasks have run, then the producer releases
+  // it and inserts a 256-task chunk at once. The worker assembles the 128
+  // results and re-drives the cut: it cuts the block's last 64 tasks, and
+  // the chunk's copy often ends meanwhile. The owed idle cut must use the
+  // buffer end the re-drive snapshotted. At the newer end it would lie
+  // past the next φ grid point, and the next φ cut would abort.
+  QueryDef q = syn::MakeProjection(2);
+  const size_t tsz = q.input_schema[0].tuple_size();
+  const size_t phi = 32 * tsz;
+  constexpr size_t kRounds = 200, kBlockTasks = 192, kChunkTasks = 256;
+  const auto data =
+      syn::Generate((kBlockTasks + kChunkTasks) * phi / tsz, {.seed = 9});
+  const ByteBuffer want = ReferenceEvaluate(q, data);
+  const size_t block = kBlockTasks * phi;
+
+  EngineOptions o;
+  o.num_cpu_workers = 2;
+  o.use_gpu = false;
+  o.task_size = phi;
+  Engine engine(o);
+  QueryHandle* h = engine.AddQuery(q);
+  ByteBuffer got;
+  std::atomic<bool> hold{false};
+  std::atomic<size_t> got_bytes{0};
+  h->SetSink([&](const uint8_t* d, size_t n) {
+    hold.wait(true);
+    got.Append(d, n);
+    got_bytes.fetch_add(n);
+  });
+  engine.Start();
+  for (size_t round = 0; round < kRounds; ++round) {
+    const int64_t ran = h->tasks_on(Processor::kCpu);
+    hold.store(true);
+    h->Insert(data.data(), block);
+    while (h->tasks_on(Processor::kCpu) < ran + 128) {
+      std::this_thread::yield();
+    }
+    hold.store(false);
+    hold.notify_all();
+    h->Insert(data.data() + block, data.size() - block);
+    while (got_bytes.load() < want.size()) std::this_thread::yield();
+    ASSERT_TRUE(BuffersEqual(got, want, q.output_schema.tuple_size()))
+        << "round " << round;
+    got.Clear();
+    got_bytes.store(0);
+  }
+  engine.Drain();
 }
 
 TEST(EngineStress, RepeatedDrainCycles) {

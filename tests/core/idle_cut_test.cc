@@ -3,9 +3,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 
 #include "core/engine.h"
 #include "reference/reference.h"
+#include "runtime/strcat.h"
 #include "test_util.h"
 
 /// The idle cut (docs/architecture.md §3): when a query has no task in
@@ -126,39 +128,49 @@ struct SinkWaiter {
 TEST(IdleCut, OneInsertEmitsEveryWindowItCloses) {
   const Schema s = SynSchema();
   // Integral values, so the engine's rows equal the reference's byte for
-  // byte; far below the default φ (1 MiB), so no φ cut is made.
+  // byte. At the default φ (1 MiB) no φ cut is made. At φ = 3 tuples the
+  // insert needs 1667 tasks, far more than a query's 128 result slots, so
+  // the gate defers most of the cut; the re-drive that cuts the last φ
+  // task must still make the idle cut the insert owed, or the sub-φ tail
+  // and the windows it closes never come out.
   const auto prefix = RandomStream(s, 5000, 72);
   const std::vector<QueryDef> queries = {
       AggQuery(WindowDefinition::Time(256, 64), /*grouped=*/true),
       AggQuery(WindowDefinition::Count(1024, 256), /*grouped=*/false),
       QueryBuilder("selection", s).Where(Gt(Col(s, "k"), Lit(4))).Build()};
-  for (const bool gpu_pinned : {false, true}) {
-    for (const QueryDef& def : queries) {
-      const ByteBuffer want = ReferenceEvaluate(def, prefix);
-      ASSERT_GT(want.size(), 0u) << def.name;
-      EngineOptions o;
-      o.num_cpu_workers = 1;
-      o.use_gpu = gpu_pinned;
-      o.device.pace_transfers = false;
-      if (gpu_pinned) {
-        o.scheduler = SchedulerKind::kStatic;
-        o.static_assignment = {{0, Processor::kGpu}};
-      }
-      SinkWaiter sink;  // outlives the engine's workers
-      Engine engine(o);
-      QueryHandle* q = engine.AddQuery(def);
-      q->SetSink([&](const uint8_t* d, size_t n) { sink.Append(d, n); });
-      engine.Start();
-      q->Insert(prefix.data(), prefix.size());
-      const bool emitted = sink.WaitFor(want.size(), std::chrono::seconds(10));
-      engine.Stop();
-      EXPECT_TRUE(emitted) << def.name << ", gpu pinned " << gpu_pinned << ": "
-                           << sink.out.size() << " of " << want.size()
-                           << " bytes emitted";
-      EXPECT_TRUE(BuffersEqual(sink.out, want, def.output_schema.tuple_size()))
-          << def.name << ", gpu pinned " << gpu_pinned;
-      if (gpu_pinned) {
-        EXPECT_EQ(q->tasks_on(Processor::kCpu), 0) << def.name;
+  for (const size_t task_size : {size_t{1} << 20, 3 * s.tuple_size()}) {
+    for (const bool gpu_pinned : {false, true}) {
+      for (const QueryDef& def : queries) {
+        const ByteBuffer want = ReferenceEvaluate(def, prefix);
+        ASSERT_GT(want.size(), 0u) << def.name;
+        EngineOptions o;
+        o.num_cpu_workers = 1;
+        o.use_gpu = gpu_pinned;
+        o.device.pace_transfers = false;
+        o.task_size = task_size;
+        if (gpu_pinned) {
+          o.scheduler = SchedulerKind::kStatic;
+          o.static_assignment = {{0, Processor::kGpu}};
+        }
+        SinkWaiter sink;  // outlives the engine's workers
+        Engine engine(o);
+        QueryHandle* q = engine.AddQuery(def);
+        q->SetSink([&](const uint8_t* d, size_t n) { sink.Append(d, n); });
+        engine.Start();
+        q->Insert(prefix.data(), prefix.size());
+        const bool emitted =
+            sink.WaitFor(want.size(), std::chrono::seconds(10));
+        engine.Stop();
+        const std::string where =
+            StrCat(def.name, ", φ ", task_size, ", gpu pinned ", gpu_pinned);
+        EXPECT_TRUE(emitted) << where << ": " << sink.out.size() << " of "
+                             << want.size() << " bytes emitted";
+        EXPECT_TRUE(
+            BuffersEqual(sink.out, want, def.output_schema.tuple_size()))
+            << where;
+        if (gpu_pinned) {
+          EXPECT_EQ(q->tasks_on(Processor::kCpu), 0) << where;
+        }
       }
     }
   }

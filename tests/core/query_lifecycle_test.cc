@@ -252,7 +252,6 @@ TEST(QueryLifecycle, WeightedSharesBiasProgressUnderContention) {
   // Alg. 1 on this interleaved queue would alternate — light progress ~1x —
   // and a prefix-order scheduler on a heavy-first queue would give 0.)
   EngineOptions o = LifecycleOptions(/*cpu_workers=*/1);
-  o.task_queue_capacity = 256;
   Engine engine(o);
   QueryDef heavy_def = Selection("heavy", -1, /*weight=*/8.0);
   QueryDef light_def = Selection("light", -1, /*weight=*/1.0);

@@ -435,7 +435,7 @@ TEST(StaticScheduler, EligibleProcessorsIsTheAssignment) {
 }
 
 TEST(TaskQueue, PushSelectClose) {
-  TaskQueue q(4);
+  TaskQueue q;
   ThroughputMatrix m(1);
   FcfsScheduler fcfs;
   std::vector<std::unique_ptr<QueryTask>> owner;
@@ -449,29 +449,10 @@ TEST(TaskQueue, PushSelectClose) {
   EXPECT_FALSE(q.Push(MakeTask(owner, 0, 2)));
 }
 
-TEST(TaskQueue, BoundedPushBlocksUntilSelect) {
-  TaskQueue q(2);
-  ThroughputMatrix m(1);
-  FcfsScheduler fcfs;
-  std::vector<std::unique_ptr<QueryTask>> owner;
-  ASSERT_TRUE(q.Push(MakeTask(owner, 0, 1)));
-  ASSERT_TRUE(q.Push(MakeTask(owner, 0, 2)));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    q.Push(MakeTask(owner, 0, 3));
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // queue full: producer is blocked
-  EXPECT_NE(q.Select(fcfs, Processor::kCpu, m), nullptr);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-}
-
 TEST(TaskQueue, PushWakesBlockedWorker) {
   // A worker blocked on an empty queue must wake on Push with no timed
   // re-poll (the old 1 ms wait_for is gone: a lost wakeup now hangs).
-  TaskQueue q(4);
+  TaskQueue q;
   ThroughputMatrix m(1);
   FcfsScheduler fcfs;
   std::vector<std::unique_ptr<QueryTask>> owner;
@@ -489,7 +470,7 @@ TEST(TaskQueue, MatrixRefreshWakesIneligibleWorker) {
   // is ineligible for the CPU, so the worker blocks. When the matrix
   // publishes new rates that flip the preference, OnEligibilityChanged —
   // wired via SetRefreshListener, as the engine does — must wake it.
-  TaskQueue q(4);
+  TaskQueue q;
   ThroughputMatrix m(1);
   m.SetRate(0, Processor::kCpu, 1);
   m.SetRate(0, Processor::kGpu, 100);
@@ -521,7 +502,7 @@ TEST(TaskQueue, StealEnabledByLaterPushWakesOtherProcessor) {
   // task is never stolen past its queued head (per-query id order — see
   // DelayStealNeverSelectsPastAQuerysEarlierTask), so the steal target is
   // the other query's earliest task, queued behind the delay.
-  TaskQueue q(8);
+  TaskQueue q;
   ThroughputMatrix m(2);
   for (int query = 0; query < 2; ++query) {
     m.SetRate(query, Processor::kCpu, 100);  // stealing is cheap for the CPU
@@ -543,7 +524,7 @@ TEST(TaskQueue, StealEnabledByLaterPushWakesOtherProcessor) {
 }
 
 TEST(TaskQueue, AvailabilityListenerFiresOnEligiblePush) {
-  TaskQueue q(4);
+  TaskQueue q;
   ThroughputMatrix m(1);
   FcfsScheduler fcfs;
   std::vector<std::unique_ptr<QueryTask>> owner;
@@ -566,7 +547,7 @@ TEST(TaskQueue, HlsSelectionBroadcastsEligibility) {
   // An HLS removal mutates the switch counts and shifts the lookahead
   // window, so a successful Select must broadcast — including the GPGPU
   // availability listener.
-  TaskQueue q(4);
+  TaskQueue q;
   ThroughputMatrix m(1);
   HlsScheduler hls(/*switch_threshold=*/100);
   std::vector<std::unique_ptr<QueryTask>> owner;

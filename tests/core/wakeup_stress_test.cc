@@ -106,15 +106,19 @@ TEST(WakeupStress, PacedGpuCompletionsWakeDrain) {
   EXPECT_TRUE(BuffersEqual(got, want, agg.output_schema.tuple_size()));
 }
 
-TEST(WakeupStress, ChainedSinkDispatchSurvivesFullTaskQueue) {
-  // Regression for a deadlock observed under TSan: with connected queries,
-  // a worker holding the upstream assembly token dispatches downstream
-  // tasks from inside the result stage (sink -> InsertInto -> PushTask).
-  // If that push blocked on a full task queue while every other worker was
-  // refusing the queued tasks (HLS preference), the engine wedged: the
-  // queue only drains through the workers. Worker-context pushes now
-  // bypass the capacity bound; a 2-slot queue makes the full-queue case
-  // constant rather than a rare race.
+TEST(WakeupStress, ChainedSinkDispatchSurvivesClosedSlotGate) {
+  // With connected queries, a worker holding the upstream assembly token
+  // dispatches downstream tasks from inside the result stage (sink ->
+  // InsertInto -> cut). A deadlock once observed under TSan had that
+  // dispatch block on a full task queue while every other worker refused
+  // the queued tasks. Now the cut never waits: once the downstream query
+  // has kSlots tasks outstanding, the gate leaves its input in the buffer
+  // and the worker that frees a slot re-drives the cut. A 1/64 scheduling
+  // weight has HLS serve the downstream query a sliver of the upstream's
+  // bytes, so its backlog outgrows its result slots and the gate closes
+  // in worker context, in the upstream assembly's cut. (A slow downstream
+  // operator alone does not do it: HLS serves equal weights equal bytes,
+  // and each upstream task feeds the downstream half a task.)
   constexpr size_t kTuples = 16000;
   QueryDef up = syn::MakeProjection(2);
   const auto data = syn::Generate(kTuples, {.seed = 23});
@@ -123,6 +127,7 @@ TEST(WakeupStress, ChainedSinkDispatchSurvivesFullTaskQueue) {
                       .Aggregate(AggregateFunction::kSum,
                                  Col(up.output_schema, "a1_out"), "s")
                       .Build();
+  down.weight = 1.0 / 64;
 
   EngineOptions o;
   o.num_cpu_workers = 2;
@@ -130,7 +135,6 @@ TEST(WakeupStress, ChainedSinkDispatchSurvivesFullTaskQueue) {
   o.device.pace_transfers = false;
   o.device.num_executors = 2;
   o.task_size = 1024;
-  o.task_queue_capacity = 2;
   Engine engine(o);
   QueryHandle* hu = engine.AddQuery(up);
   QueryHandle* hd = engine.AddQuery(down);
@@ -145,7 +149,7 @@ TEST(WakeupStress, ChainedSinkDispatchSurvivesFullTaskQueue) {
   for (size_t off = 0; off < data.size(); off += chunk) {
     hu->Insert(data.data() + off, std::min(chunk, data.size() - off));
   }
-  engine.Drain();  // wedges here if a worker can block on queue capacity
+  engine.Drain();  // wedges here if a deferred cut is never re-driven
 
   EXPECT_EQ(hu->tuples_in(), static_cast<int64_t>(kTuples));
   EXPECT_EQ(hd->tuples_in(), hu->rows_out());
@@ -154,9 +158,8 @@ TEST(WakeupStress, ChainedSinkDispatchSurvivesFullTaskQueue) {
 
 TEST(WakeupStress, StopUnblocksBackpressuredProducer) {
   // A producer stuck on a full input buffer must be released by Stop() via
-  // the free-epoch wake, not by a timed retry. No worker ever frees space
-  // here (queue capacity 1 task and a 4 KB buffer with the GPGPU disabled
-  // and one slow CPU worker keeps pressure on).
+  // the free-epoch wake, not by a timed retry (a 4 KB buffer with the GPGPU
+  // disabled and one CPU worker keeps pressure on).
   QueryDef sel = syn::MakeSelection(1, 10, WindowDefinition::Count(64, 64));
   const auto data = syn::Generate(4096, {.seed = 17});
 
